@@ -981,16 +981,7 @@ func (cs compiledSweep) stage(q Question, policy AmortizationPolicy, shard shard
 	return func() RequestSource {
 		switch {
 		case perSystemQuestion(q):
-			gen := cs.shardPoints(shard)
-			if q == QuestionTotalCost {
-				// Total-cost sweeps take the run-batched stream path,
-				// which needs only the scalar axes; the generator skips
-				// per-point system construction (the built-in prune
-				// filter reads scalars, so it survives Lean). RE and
-				// wafers still walk materialized systems.
-				gen.Lean()
-			}
-			src, err := SweepSource(gen, q, policy)
+			src, err := SweepSource(cs.shardPoints(shard), q, policy)
 			if err != nil { // unreachable: the grid was validated in compile
 				return sourceFunc(func() (Request, bool) { return Request{}, false })
 			}

@@ -127,19 +127,47 @@ func TestCoordinatorMatchesSingleProcess(t *testing.T) {
 }
 
 // flakyBackend passes through okCalls evaluations, then fails every
-// later one with a transport error — a backend dying mid-sweep.
+// later one with a transport error — a backend dying mid-sweep. When
+// failed is non-nil it is closed once the first failing call returns.
 type flakyBackend struct {
 	inner   client.Backend
 	okCalls int32
 	calls   atomic.Int32
+	failed  chan struct{}
+	once    sync.Once
 }
 
 func (f *flakyBackend) Evaluate(ctx context.Context, reqs []actuary.Request) ([]actuary.Result, error) {
 	if f.calls.Add(1) > f.okCalls {
+		if f.failed != nil {
+			f.once.Do(func() { close(f.failed) })
+		}
 		return nil, &actuary.Error{Code: actuary.ErrTransport, Index: -1, Question: -1,
 			Err: errors.New("backend went away")}
 	}
 	return f.inner.Evaluate(ctx, reqs)
+}
+
+// gatedBackend holds every Evaluate until open is closed, so a test
+// can make a failure on another backend happen before this one drains
+// the shard queue — without it, which backend runs out of work first
+// is a race.
+type gatedBackend struct {
+	inner client.Backend
+	open  <-chan struct{}
+}
+
+func (g *gatedBackend) Evaluate(ctx context.Context, reqs []actuary.Request) ([]actuary.Result, error) {
+	select {
+	case <-g.open:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	return g.inner.Evaluate(ctx, reqs)
+}
+
+func (g *gatedBackend) Stream(ctx context.Context, req client.StreamRequest) (<-chan actuary.Result, error) {
+	return g.inner.Stream(ctx, req)
 }
 
 func (f *flakyBackend) Stream(ctx context.Context, req client.StreamRequest) (<-chan actuary.Result, error) {
@@ -151,9 +179,11 @@ func TestCoordinatorReassignsFailedShard(t *testing.T) {
 	req := actuary.Request{Question: actuary.QuestionSweepBest, Grid: &grid, TopK: 5}
 	want := singleProcessBest(t, req)
 	// Backend 1 dies after its first shard; its remaining shards must
-	// drain through backend 0.
-	flaky := &flakyBackend{inner: client.Local(newSession(t)), okCalls: 1}
-	coord, err := New([]client.Backend{client.Local(newSession(t)), flaky}, WithShards(6))
+	// drain through backend 0, which is held until the failure has
+	// happened.
+	flaky := &flakyBackend{inner: client.Local(newSession(t)), okCalls: 1, failed: make(chan struct{})}
+	healthy := &gatedBackend{inner: client.Local(newSession(t)), open: flaky.failed}
+	coord, err := New([]client.Backend{healthy, flaky}, WithShards(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,11 +332,12 @@ func TestCoordinatorOverDaemons(t *testing.T) {
 
 	// Daemon 2 dies mid-sweep: after its first answered shard, every
 	// later call fails at the socket. The coordinator must reassign
-	// the lost shards to daemon 1 and still produce the exact answer.
+	// the lost shards to daemon 1 — held until that failure has
+	// happened — and still produce the exact answer.
 	ts3, c3 := daemon()
 	var once sync.Once
-	dying := &dyingBackend{inner: c3, kill: func() { once.Do(ts3.Close) }}
-	coord, err = New([]client.Backend{c1, dying}, WithShards(6))
+	dying := &dyingBackend{inner: c3, kill: func() { once.Do(ts3.Close) }, failed: make(chan struct{})}
+	coord, err = New([]client.Backend{&gatedBackend{inner: c1, open: dying.failed}, dying}, WithShards(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,18 +352,26 @@ func TestCoordinatorOverDaemons(t *testing.T) {
 }
 
 // dyingBackend lets its first Evaluate through, then kills the daemon
-// so later calls fail with a real transport error.
+// so later calls fail with a real transport error. When failed is
+// non-nil it is closed once the first call after the kill returns.
 type dyingBackend struct {
-	inner client.Backend
-	kill  func()
-	calls atomic.Int32
+	inner  client.Backend
+	kill   func()
+	calls  atomic.Int32
+	failed chan struct{}
+	once   sync.Once
 }
 
 func (d *dyingBackend) Evaluate(ctx context.Context, reqs []actuary.Request) ([]actuary.Result, error) {
-	if d.calls.Add(1) > 1 {
-		d.kill()
+	if d.calls.Add(1) == 1 {
+		return d.inner.Evaluate(ctx, reqs)
 	}
-	return d.inner.Evaluate(ctx, reqs)
+	d.kill()
+	res, err := d.inner.Evaluate(ctx, reqs)
+	if d.failed != nil {
+		d.once.Do(func() { close(d.failed) })
+	}
+	return res, err
 }
 
 func (d *dyingBackend) Stream(ctx context.Context, req client.StreamRequest) (<-chan actuary.Result, error) {

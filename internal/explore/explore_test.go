@@ -3,6 +3,7 @@ package explore
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"chipletactuary/internal/dtod"
@@ -418,5 +419,83 @@ func TestSensitivitySwing(t *testing.T) {
 	p := SensitivityPoint{Low: 10, High: 14}
 	if got := p.Swing(); math.Abs(got-4) > 1e-12 {
 		t.Errorf("swing = %v, want 4", got)
+	}
+}
+
+// TestSingleUniformMatchesPortfolio diffs Single's uniform fast path
+// (one shape detection shared by both engines) against a one-member
+// Portfolio on a cache-less evaluator (general NRE walk, RE detecting
+// its own shape): identical breakdowns bit for bit on every scheme and
+// width, cold and cache-warm, and identical error text where either
+// path fails.
+func TestSingleUniformMatchesPortfolio(t *testing.T) {
+	fast, err := NewEvaluatorWithCaches(tech.Default(), packaging.DefaultParams(), 256, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := evaluator(t)
+	var systems []system.System
+	for _, area := range []float64{50, 400, 800} {
+		systems = append(systems, system.Monolithic("soc", "7nm", area, 1e5))
+		for _, scheme := range []packaging.Scheme{packaging.MCM, packaging.InFO, packaging.TwoPointFiveD} {
+			for _, k := range []int{2, 3, 12} {
+				s, err := system.PartitionEqual("p", "5nm", area, k, scheme, dtod.Fraction{F: 0.1}, 2e6)
+				if err != nil {
+					t.Fatal(err)
+				}
+				systems = append(systems, s)
+			}
+		}
+	}
+	unknown := system.Monolithic("bad", "1nm", 100, 1e5)
+	negative := system.Monolithic("neg", "7nm", 100, -1)
+	zero := system.Monolithic("zero", "7nm", 100, 0)
+	systems = append(systems, unknown, negative, zero)
+	for _, s := range systems {
+		if _, ok := system.AsUniform(s); !ok {
+			t.Fatalf("%q: not uniform", s.Name)
+		}
+		for _, policy := range []nre.Policy{nre.PerSystemUnit, nre.PerInstance} {
+			for pass := 0; pass < 2; pass++ { // cold, then cache-warm
+				got, gotErr := fast.Single(s, policy)
+				m, wantErr := ref.Portfolio([]system.System{s}, policy)
+				if (gotErr == nil) != (wantErr == nil) {
+					t.Fatalf("%q: Single err %v, Portfolio err %v", s.Name, gotErr, wantErr)
+				}
+				if gotErr != nil {
+					if gotErr.Error() != wantErr.Error() {
+						t.Fatalf("%q: Single err %q, Portfolio err %q", s.Name, gotErr, wantErr)
+					}
+					continue
+				}
+				if want := m[s.Name]; !reflect.DeepEqual(got, want) {
+					t.Fatalf("%q policy %v pass %d: Single %+v, Portfolio %+v", s.Name, policy, pass, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSingleUniformAllocs pins Single on a cache-warm uniform point to
+// one allocation: the per-die detail slice of the RE breakdown.
+func TestSingleUniformAllocs(t *testing.T) {
+	e, err := NewEvaluatorWithCaches(tech.Default(), packaging.DefaultParams(), 256, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := system.PartitionEqual("p", "5nm", 800, 4, packaging.MCM, dtod.Fraction{F: 0.1}, 1e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Single(s, nre.PerSystemUnit); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := e.Single(s, nre.PerSystemUnit); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("%.2f allocs per cache-warm Single, want ≤ 1", allocs)
 	}
 }

@@ -381,6 +381,21 @@ type Generator struct {
 	shardIndex int
 	shardCount int
 	lean       bool
+	// idBuf[:idPrefix] is the ComboID of the (node, effective scheme,
+	// quantity) combination idKey names; pointID appends the area and
+	// count segments after it, so consecutive points of one combination
+	// (the count axis spins fastest) pay for their ID string only.
+	idBuf    []byte
+	idPrefix int
+	idKey    comboKey
+}
+
+// comboKey names one (node, effective scheme, quantity) axis
+// combination by axis index; node −1 matches nothing.
+type comboKey struct {
+	node     int
+	scheme   packaging.Scheme
+	quantity int
 }
 
 // Points returns a fresh lazy iterator over the grid, applying the
@@ -392,7 +407,7 @@ func (g Grid) Points(filters ...Filter) *Generator {
 		d2d = dtod.None{}
 	}
 	odo := NewOdometer(len(g.Nodes), len(g.Schemes), len(g.Quantities), len(g.AreasMM2), len(g.Counts))
-	return &Generator{grid: g, filters: filters, d2d: d2d, odo: odo}
+	return &Generator{grid: g, filters: filters, d2d: d2d, odo: odo, idKey: comboKey{node: -1}}
 }
 
 // Grid returns the grid this generator walks.
@@ -502,10 +517,10 @@ func (it *Generator) Next() (Point, bool) {
 		// idx is the odometer's live slice: copy out everything needed
 		// before advance mutates it.
 		g := it.grid
-		node := g.Nodes[idx[0]]
-		schemeIdx := idx[1]
+		nodeIdx, schemeIdx, quantityIdx := idx[0], idx[1], idx[2]
+		node := g.Nodes[nodeIdx]
 		scheme := g.Schemes[schemeIdx]
-		quantity := g.Quantities[idx[2]]
+		quantity := g.Quantities[quantityIdx]
 		area := g.AreasMM2[idx[3]]
 		k := g.Counts[idx[4]]
 		it.odo.advance()
@@ -531,9 +546,9 @@ func (it *Generator) Next() (Point, bool) {
 				it.stats.Pruned++
 				continue
 			}
-			p.ID = g.PointID(node, sch, area, k, quantity)
+			p.ID = it.pointID(comboKey{nodeIdx, sch, quantityIdx}, area, k)
 		} else {
-			id := g.PointID(node, sch, area, k, quantity)
+			id := it.pointID(comboKey{nodeIdx, sch, quantityIdx}, area, k)
 			sys, err := system.PartitionEqual(id, node, area, k, sch, it.d2d, quantity)
 			if err != nil {
 				// Unbuildable combination (e.g. an SoC scheme asked to
@@ -566,6 +581,24 @@ func (it *Generator) Next() (Point, bool) {
 	}
 }
 
+// pointID returns Grid.PointID of the candidate with the given axis
+// combination, area and count, byte for byte, rebuilding the cached
+// ComboID prefix only when the combination changes.
+func (it *Generator) pointID(key comboKey, areaMM2 float64, k int) string {
+	if key != it.idKey {
+		g := it.grid
+		it.idBuf = append(it.idBuf[:0], g.ComboID(g.Nodes[key.node], key.scheme, g.Quantities[key.quantity])...)
+		it.idPrefix = len(it.idBuf)
+		it.idKey = key
+	}
+	buf := append(it.idBuf[:it.idPrefix], "-a"...)
+	buf = strconv.AppendFloat(buf, areaMM2, 'g', -1, 64)
+	buf = append(buf, "-k"...)
+	buf = strconv.AppendInt(buf, int64(k), 10)
+	it.idBuf = buf
+	return string(buf)
+}
+
 // NextSlab fills dst with the next consecutive surviving points and
 // returns how many it produced; 0 means the grid is exhausted (or the
 // AbortWhen hook fired). A slab is exactly the run Next would have
@@ -584,37 +617,6 @@ func (it *Generator) NextSlab(dst []Point) int {
 		n++
 	}
 	return n
-}
-
-// Run delimits a maximal stretch of consecutive slab points sharing
-// the axes a run-batched evaluator can hoist out of its inner loop:
-// node, effective scheme and quantity. Because the odometer spins
-// count fastest, the points inside a run differ only in area and
-// count, so the node lookup, scheme factors and amortization
-// denominators are loop-invariant across it.
-type Run struct {
-	// Start indexes the run's first point in the slab passed to Runs;
-	// Len is the number of points it spans.
-	Start, Len int
-}
-
-// Runs splits a slab — any consecutive stretch of generated points,
-// typically one NextSlab fill — into runs, appending to dst so the
-// caller can reuse one backing array across slabs and keep the hot
-// path allocation-free in steady state.
-func Runs(points []Point, dst []Run) []Run {
-	for i := 0; i < len(points); {
-		j := i + 1
-		for j < len(points) &&
-			points[j].Node == points[i].Node &&
-			points[j].Scheme == points[i].Scheme &&
-			points[j].Quantity == points[i].Quantity {
-			j++
-		}
-		dst = append(dst, Run{Start: i, Len: j - i})
-		i = j
-	}
-	return dst
 }
 
 // LastCandidate returns the odometer-order candidate number of the

@@ -3,6 +3,7 @@ package system
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"chipletactuary/internal/dtod"
 	"chipletactuary/internal/packaging"
@@ -11,14 +12,23 @@ import (
 // Monolithic builds an SoC system: one die carrying a single module of
 // the given area, no D2D interface.
 func Monolithic(name, node string, moduleAreaMM2, quantity float64) System {
+	// Both names are sliced out of one string: "<name>-die<name>-logic".
+	var b strings.Builder
+	b.Grow(2*len(name) + len("-die") + len("-logic"))
+	b.WriteString(name)
+	b.WriteString("-die")
+	b.WriteString(name)
+	b.WriteString("-logic")
+	names := b.String()
+	die := len(name) + len("-die")
 	return System{
 		Name:   name,
 		Scheme: packaging.SoC,
 		Placements: []Placement{{
 			Chiplet: Chiplet{
-				Name:    name + "-die",
+				Name:    names[:die],
 				Node:    node,
-				Modules: []Module{{Name: name + "-logic", AreaMM2: moduleAreaMM2, Scalable: true}},
+				Modules: []Module{{Name: names[die:], AreaMM2: moduleAreaMM2, Scalable: true}},
 				D2D:     dtod.None{},
 			},
 			Count: 1,
@@ -48,18 +58,37 @@ func PartitionEqual(name, node string, moduleAreaMM2 float64, k int,
 		return System{}, fmt.Errorf("system: cannot partition into %d chiplets on an SoC", k)
 	}
 	per := moduleAreaMM2 / float64(k)
-	// This constructor runs once per sweep candidate, so it avoids
-	// fmt and per-chiplet slice headers: one backing Module array
-	// sliced per chiplet, names built by concatenation (byte-identical
-	// to the old Sprintf forms).
+	// This constructor runs once per sweep candidate, so it makes three
+	// allocations whatever k is: the placements, one backing Module
+	// array sliced per chiplet, and one builder buffer, sized up front,
+	// holding all 2k names ("<name>-part-<i><name>-chiplet-<i>" for
+	// each i). Each name is a substring of the builder's string; bytes
+	// already written never change, so earlier substrings stay valid.
+	const part, chiplet = "-part-", "-chiplet-"
+	size := 0
+	for i := 1; i <= k; i++ {
+		size += 2*len(name) + len(part) + len(chiplet) + 2*decimalLen(i)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	var seq [20]byte
 	placements := make([]Placement, k)
 	modules := make([]Module, k)
 	for i := range placements {
-		seq := strconv.Itoa(i + 1)
-		modules[i] = Module{Name: name + "-part-" + seq, AreaMM2: per, Scalable: true}
+		digits := strconv.AppendInt(seq[:0], int64(i+1), 10)
+		start := b.Len()
+		b.WriteString(name)
+		b.WriteString(part)
+		b.Write(digits)
+		mid := b.Len()
+		b.WriteString(name)
+		b.WriteString(chiplet)
+		b.Write(digits)
+		names := b.String()
+		modules[i] = Module{Name: names[start:mid], AreaMM2: per, Scalable: true}
 		placements[i] = Placement{
 			Chiplet: Chiplet{
-				Name:    name + "-chiplet-" + seq,
+				Name:    names[mid:],
 				Node:    node,
 				Modules: modules[i : i+1 : i+1],
 				D2D:     d2d,
@@ -68,6 +97,15 @@ func PartitionEqual(name, node string, moduleAreaMM2 float64, k int,
 		}
 	}
 	return System{Name: name, Scheme: scheme, Placements: placements, Quantity: quantity}, nil
+}
+
+// decimalLen returns the number of decimal digits of a positive n.
+func decimalLen(n int) int {
+	d := 1
+	for ; n >= 10; n /= 10 {
+		d++
+	}
+	return d
 }
 
 // PartitionWeighted splits a module area into chiplets with the given

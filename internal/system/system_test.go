@@ -2,6 +2,7 @@ package system
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -272,5 +273,59 @@ func TestPackageName(t *testing.T) {
 	s.Envelope = &Envelope{Name: "family-pkg", FootprintMM2: 500}
 	if s.PackageName() != "family-pkg" {
 		t.Errorf("envelope package name = %q", s.PackageName())
+	}
+}
+
+// TestPartitionEqualNames pins the chiplet and module names to their
+// concatenated spelling for k = 1…64 — one-digit and two-digit
+// suffixes alike — on every scheme, plus the monolithic pair.
+func TestPartitionEqualNames(t *testing.T) {
+	for _, name := range []string{"sys", "", "g-5nm-MCM-q1e+06-a800-k4"} {
+		soc, err := PartitionEqual(name, "5nm", 800, 1, packaging.SoC, dtod.None{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := soc.Placements[0].Chiplet
+		if c.Name != name+"-die" || c.Modules[0].Name != name+"-logic" {
+			t.Fatalf("monolithic %q: names %q/%q", name, c.Name, c.Modules[0].Name)
+		}
+		for _, scheme := range []packaging.Scheme{packaging.MCM, packaging.InFO, packaging.TwoPointFiveD} {
+			for k := 1; k <= 64; k++ {
+				s, err := PartitionEqual(name, "7nm", 640, k, scheme, dtod.Fraction{F: 0.1}, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s.Name != name || len(s.Placements) != k {
+					t.Fatalf("%q k=%d: system %q with %d placements", name, k, s.Name, len(s.Placements))
+				}
+				for i, p := range s.Placements {
+					seq := strconv.Itoa(i + 1)
+					if want := name + "-chiplet-" + seq; p.Chiplet.Name != want {
+						t.Fatalf("%q k=%d chiplet %d: name %q, want %q", name, k, i, p.Chiplet.Name, want)
+					}
+					if want := name + "-part-" + seq; p.Chiplet.Modules[0].Name != want {
+						t.Fatalf("%q k=%d module %d: name %q, want %q", name, k, i, p.Chiplet.Modules[0].Name, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPartitionEqualAllocs pins the constructor to three allocations
+// whatever the width: placements, modules and one name string.
+func TestPartitionEqualAllocs(t *testing.T) {
+	for _, k := range []int{2, 9, 12, 64} {
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := PartitionEqual("sys", "5nm", 800, k, packaging.MCM, dtod.None{}, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 3 {
+			t.Errorf("k=%d: %.1f allocs, want ≤ 3", k, allocs)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() { Monolithic("sys", "5nm", 800, 1) }); allocs > 3 {
+		t.Errorf("Monolithic: %.1f allocs, want ≤ 3", allocs)
 	}
 }

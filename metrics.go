@@ -151,29 +151,6 @@ func (m *sessionMetrics) finished(q Question, d time.Duration, failed bool) {
 	updateMax(&qc.maxNanos, int64(d))
 }
 
-// finishedRun records a run of n same-question requests evaluated in
-// one batch: the gauges and counters move once for the lot. Run timing
-// is not resolved per request, so the max-latency tracker observes the
-// run's per-request mean — an underestimate for a run with one
-// outlier, but run points are homogeneous by construction.
-func (m *sessionMetrics) finishedRun(q Question, total time.Duration, n, failures int) {
-	if n <= 0 {
-		return
-	}
-	m.inFlight.Add(int64(-n))
-	m.busyNanos.Add(int64(total))
-	if q < 0 || int(q) >= questionCount {
-		return
-	}
-	qc := &m.perQuestion[q]
-	qc.count.Add(int64(n))
-	if failures > 0 {
-		qc.failures.Add(int64(failures))
-	}
-	qc.nanos.Add(int64(total))
-	updateMax(&qc.maxNanos, int64(total)/int64(n))
-}
-
 // QuestionMetrics is the latency profile of one question kind.
 type QuestionMetrics struct {
 	// Question identifies the kind.

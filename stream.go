@@ -129,11 +129,7 @@ func SweepSource(gen *SweepGenerator, question Question, policy AmortizationPoli
 
 // sweepSource adapts a generator to the streaming API. It implements
 // SlabSource, so Session.Stream serves sweeps in slabs; the question
-// suffix is rendered once here instead of once per point. A lean
-// generator asking the total-cost question additionally implements
-// runSource, and Session.Stream serves it run-batched: raw design
-// points travel to the workers, which evaluate them through
-// explore.Evaluator.EvaluateRun without ever materializing a System.
+// suffix is rendered once here instead of once per point.
 type sweepSource struct {
 	gen      *SweepGenerator
 	suffix   string
@@ -182,41 +178,6 @@ func (s *sweepSource) NextSlab(dst []Request) int {
 		pts[i] = DesignPoint{} // release the System backing arrays
 	}
 	return n
-}
-
-// NextPointSlab implements runSource: the raw design points of one
-// generator slab, no Request construction at all.
-func (s *sweepSource) NextPointSlab(dst []DesignPoint) int { return s.gen.NextSlab(dst) }
-
-// runDispatch implements runSource. Run dispatch engages only for the
-// shape the run-batched evaluator is proven bit-identical on: a lean
-// generator (scalar points, no Systems to forward) answering the
-// total-cost question.
-func (s *sweepSource) runDispatch() (runSpec, bool) {
-	if s.question != QuestionTotalCost || !s.gen.IsLean() {
-		return runSpec{}, false
-	}
-	return runSpec{policy: s.policy, suffix: s.suffix, d2d: s.gen.D2D()}, true
-}
-
-// runSpec carries the per-stream constants of run dispatch: everything
-// a worker needs, besides the points themselves, to evaluate a run and
-// label its results.
-type runSpec struct {
-	policy AmortizationPolicy
-	suffix string
-	d2d    D2DOverhead
-}
-
-// runSource is the optional source interface behind run-batched
-// dispatch: the source hands raw design points to the stream, and the
-// workers evaluate them through the run-batched fast path instead of
-// materialized Requests. runDispatch reports whether the source's
-// question/generator combination qualifies.
-type runSource interface {
-	RequestSource
-	NextPointSlab(dst []DesignPoint) int
-	runDispatch() (runSpec, bool)
 }
 
 // StreamOption tunes Session.Stream.
@@ -361,11 +322,6 @@ type streamJob struct {
 	// buf is the pool token the worker returns after evaluation.
 	slab []Request
 	buf  *[]Request
-	// points, when non-nil, carries a run-batched slab of lean design
-	// points (see runSource) with the same index convention; pbuf is
-	// its pool token.
-	points []DesignPoint
-	pbuf   *[]DesignPoint
 }
 
 // slabBufPool recycles slab backing arrays between pump and workers so
@@ -373,10 +329,6 @@ type streamJob struct {
 // sized per stream (capacity = the stream's slab size); a stream with
 // a different slab size simply reallocates on first Get.
 var slabBufPool = sync.Pool{New: func() any { return new([]Request) }}
-
-// pointBufPool is slabBufPool's counterpart for run-batched dispatch,
-// recycling the design-point slabs between pump and workers.
-var pointBufPool = sync.Pool{New: func() any { return new([]DesignPoint) }}
 
 // elasticTick is how often a running stream reconciles its worker
 // count with the session's target width (see Session.Resize). Growth
@@ -425,29 +377,13 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 	// Slab dispatch engages when the source can produce runs and the
 	// caller has not forced point mode. The slab size never exceeds the
 	// in-flight bound: that bound is the stream's memory contract.
-	// Run-batched dispatch supersedes request slabs when the source
-	// qualifies (see runSource); its slab sizing and credit accounting
-	// are identical — only the job payload changes.
 	slabSrc, _ := src.(SlabSource)
-	runSrc, _ := src.(runSource)
-	var spec runSpec
-	if runSrc != nil {
-		sp, ok := runSrc.runDispatch()
-		if !ok {
-			runSrc = nil
-		}
-		spec = sp
-	}
 	slab := cfg.slabSize
 	if slab == 0 {
 		slab = DefaultSlabSize
 	}
-	if (slabSrc == nil && runSrc == nil) || slab <= 1 {
+	if slabSrc == nil || slab <= 1 {
 		slab = 1
-		slabSrc = nil
-		runSrc = nil
-	}
-	if runSrc != nil {
 		slabSrc = nil
 	}
 	if !cfg.hasInFlight {
@@ -546,50 +482,6 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 		defer close(pumpDone)
 		defer close(jobs)
 		pprof.Do(ctx, pprof.Labels("stage", "pump"), func(ctx context.Context) {
-			if runSrc != nil {
-				// Run mode: the resume prefix drains through point slabs —
-				// no Requests, no Systems, just odometer replay.
-				for skip := cfg.resumeAt; skip > 0; {
-					if ctx.Err() != nil {
-						return
-					}
-					buf := pointBufPool.Get().(*[]DesignPoint)
-					if cap(*buf) < slab {
-						*buf = make([]DesignPoint, slab)
-					}
-					n := runSrc.NextPointSlab((*buf)[:min(slab, skip)])
-					pointBufPool.Put(buf)
-					if n == 0 {
-						return
-					}
-					skip -= n
-				}
-				for i := max(cfg.resumeAt, 0); ; {
-					if !acquireCredits(slab) {
-						return
-					}
-					buf := pointBufPool.Get().(*[]DesignPoint)
-					if cap(*buf) < slab {
-						*buf = make([]DesignPoint, slab)
-					}
-					n := runSrc.NextPointSlab((*buf)[:slab])
-					if n == 0 {
-						pointBufPool.Put(buf)
-						returnCredits(slab)
-						return
-					}
-					returnCredits(slab - n)
-					metrics.enqueuedSlab(n)
-					select {
-					case jobs <- streamJob{index: i, points: (*buf)[:n], pbuf: buf}:
-					case <-ctx.Done():
-						metrics.enqueueAbortedSlab(n)
-						pointBufPool.Put(buf)
-						return
-					}
-					i += n
-				}
-			}
 			// Resume: drain the already-delivered prefix without dispatching
 			// or touching the queue metrics — replayed generation is not
 			// back-pressure. Cancellation still lands between pulls.
@@ -693,15 +585,9 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 			metrics.finished(req.Question, time.Since(t0), r.Err != nil)
 			deliver(r)
 		}
-		var rw runWorker
 		pprof.Do(ctx, pprof.Labels("stage", "evaluate"), func(ctx context.Context) {
 			for j := range jobs {
 				switch {
-				case j.points != nil:
-					metrics.dequeuedSlab(len(j.points))
-					s.evaluateRunSlab(ctx, j.index, j.points, spec, &rw, metrics, deliver)
-					clear(j.points) // release the ID string references
-					pointBufPool.Put(j.pbuf)
 				case j.slab != nil:
 					metrics.dequeuedSlab(len(j.slab))
 					for k := range j.slab {
