@@ -31,7 +31,7 @@ import (
 //     stream; /v1/stream's "resume" field replays delivery from its
 //     Next index).
 //   - CoordinatorCheckpoint: per-shard progress of a distributed run
-//     (distribute.Coordinator.SweepBestCheckpointed) — a restarted
+//     (fleet.Coordinator.SweepBestCheckpointed) — a restarted
 //     coordinator re-dispatches only the shards that had not drained.
 
 // SweepCursor is the serializable resume point of a sweep walk: the

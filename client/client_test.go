@@ -378,26 +378,3 @@ func TestStreamRequestFields(t *testing.T) {
 		}
 	}
 }
-
-// TestStreamScenarioWrapper keeps the deprecated call shape working:
-// StreamScenario(ctx, b, cfg) is Stream with a bare StreamRequest,
-// scenario-embedded fields honored as before.
-func TestStreamScenarioWrapper(t *testing.T) {
-	_, local := newBackends(t)
-	cfg := testScenario()
-	cfg.Resume = &actuary.StreamResume{NextIndex: 4}
-	ch, err := client.StreamScenario(context.Background(), local, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []actuary.Result
-	for r := range ch {
-		if r.Err != nil {
-			t.Fatalf("result %q failed: %v", r.ID, r.Err)
-		}
-		out = append(out, r)
-	}
-	if len(out) != 2 || out[0].Index != 4 {
-		t.Fatalf("wrapper stream yields %+v", out)
-	}
-}

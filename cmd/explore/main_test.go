@@ -7,6 +7,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"chipletactuary"
 )
 
 func TestPaybackMode(t *testing.T) {
@@ -224,5 +226,84 @@ func TestSweepModeBackendsPartialFailure(t *testing.T) {
 	}
 	if single.String() != dist.String() {
 		t.Errorf("distributed output diverged:\n--- single\n%s--- distributed\n%s", single.String(), dist.String())
+	}
+}
+
+// TestStreamModeBackends: -backends stripes the stream across a fixed
+// pool of in-process backends and must print exactly the in-process
+// NDJSON stream.
+func TestStreamModeBackends(t *testing.T) {
+	args := func(extra ...string) []string {
+		return append([]string{"-mode", "stream", "-questions", "total-cost",
+			"-nodes", "5nm,7nm", "-schemes", "MCM,2.5D",
+			"-area-range", "200:600:100", "-count-range", "1:4"}, extra...)
+	}
+	var single, dist bytes.Buffer
+	if err := run(context.Background(), args(), &single); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(single.String(), "\n"); n < 50 {
+		t.Fatalf("in-process stream printed %d lines; the grid is too small to stripe", n)
+	}
+	if err := run(context.Background(), args("-backends", "local,local,local"), &dist); err != nil {
+		t.Fatal(err)
+	}
+	if single.String() != dist.String() {
+		t.Errorf("striped stream diverged from the in-process stream:\n--- single\n%s--- striped\n%s", single.String(), dist.String())
+	}
+}
+
+// failingWriter rejects every write, standing in for a broken stdout.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("stdout closed") }
+
+// TestSweepModeBackendsCheckpoint pins the checkpoint contract of
+// -backends: without -shards the sweep is cut into one shard per
+// backend, so checkpoints written by earlier -backends runs stay
+// loadable; a resume merges the recorded shards without dispatching
+// them; a different shard count is rejected.
+func TestSweepModeBackendsCheckpoint(t *testing.T) {
+	args := func(extra ...string) []string {
+		return append([]string{"-mode", "sweep", "-nodes", "5nm,7nm",
+			"-area-range", "200:500:100", "-count-range", "1:4", "-top", "3"}, extra...)
+	}
+	var single bytes.Buffer
+	if err := run(context.Background(), args(), &single); err != nil {
+		t.Fatal(err)
+	}
+	cp := t.TempDir() + "/sweep.ckpt"
+
+	// A run whose stdout breaks after the answer is computed keeps its
+	// checkpoint, with every shard drained.
+	if err := run(context.Background(), args("-backends", "local,local", "-checkpoint", cp), failingWriter{}); err == nil {
+		t.Fatal("sweep printing to a broken stdout succeeded")
+	}
+	saved, err := actuary.LoadCoordinatorCheckpointFile(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if saved.Shards != 2 || len(saved.Completed) != 2 {
+		t.Fatalf("checkpoint records %d of %d shards, want 2 of 2 (one shard per backend)", len(saved.Completed), saved.Shards)
+	}
+
+	// Another shard count does not match the saved partition.
+	var buf bytes.Buffer
+	err = run(context.Background(), args("-backends", "local,local", "-shards", "3", "-checkpoint", cp), &buf)
+	if !errors.Is(err, actuary.ErrCheckpointMismatch) {
+		t.Fatalf("resume with -shards 3: %v, want ErrCheckpointMismatch", err)
+	}
+
+	// The resume needs no backend: both listed daemons are unreachable,
+	// so the answer can only come from the checkpoint.
+	var resumed bytes.Buffer
+	if err := run(context.Background(), args("-backends", "http://127.0.0.1:1,http://127.0.0.1:1", "-checkpoint", cp), &resumed); err != nil {
+		t.Fatal(err)
+	}
+	if single.String() != resumed.String() {
+		t.Errorf("resumed output diverged:\n--- single\n%s--- resumed\n%s", single.String(), resumed.String())
+	}
+	if _, err := os.Stat(cp); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("checkpoint file not removed after success: %v", err)
 	}
 }

@@ -85,9 +85,9 @@ func WithMonitor(m *Monitor) Option {
 }
 
 // WithSpeculation turns speculative re-execution of in-flight shards
-// on or off. Default on. Off, a shard runs on one backend at a time —
-// distribute's semantics, where only a completed failure (not mere
-// slowness) moves a shard.
+// on or off. Default on. Off, a shard runs on one backend at a time
+// and only a completed failure (not mere slowness) moves it — the
+// fixed-pool semantics cmd/explore -backends runs with.
 func WithSpeculation(on bool) Option {
 	return func(c *Coordinator) error {
 		c.speculate = on
@@ -188,21 +188,28 @@ func (c *Coordinator) emit(ev Event) {
 }
 
 // SweepBest answers one sweep-best request by fanning its grid across
-// the fleet. The contract is distribute.Coordinator.SweepBest's — the
-// merged answer is byte-identical to the unsharded sweep — plus the
-// fleet behaviors: backends marked down are skipped, shards lost to a
-// dead backend are stolen by live ones, stragglers are hedged by
-// speculative re-execution, and backends added to the registry
-// mid-run are put to work.
+// the fleet: shard i of n is dispatched as the same request with the
+// shard spec stamped on, and the partial answers merge — as shards
+// drain — into exactly the answer a single unsharded evaluation would
+// produce. The request must carry a Grid, ask QuestionSweepBest (the
+// zero Question is promoted), and not carry a shard spec of its own.
+//
+// A shard whose backend fails on transport is reassigned, so the sweep
+// survives backends dying mid-run; evaluation failures (bad grid,
+// unknown node) abort the run, since every backend would reproduce
+// them. On top of that: backends marked down are skipped, shards lost
+// to a dead backend are stolen by live ones, stragglers are hedged by
+// speculative re-execution (unless WithSpeculation(false)), and
+// backends added to the registry mid-run are put to work.
 func (c *Coordinator) SweepBest(ctx context.Context, req actuary.Request) (*actuary.SweepBest, error) {
 	return c.SweepBestCheckpointed(ctx, req, nil, nil)
 }
 
-// SweepBestCheckpointed is SweepBest with per-shard durability,
-// mirroring distribute.Coordinator.SweepBestCheckpointed: every shard
-// drain snapshots progress into a CoordinatorCheckpoint handed to
-// save, and resume merges a prior run's drained shards up front,
-// re-dispatching only the rest. resume must match this workload's
+// SweepBestCheckpointed is SweepBest with per-shard durability: every
+// shard drain snapshots progress into a CoordinatorCheckpoint handed
+// to save (persist it with actuary.SaveCheckpointFile), and resume
+// merges a prior run's drained shards up front, re-dispatching only
+// the rest. resume must match this workload's
 // fingerprint and this coordinator's shard count. Speculative
 // duplicates never reach the checkpoint — a shard drains exactly once.
 func (c *Coordinator) SweepBestCheckpointed(ctx context.Context, req actuary.Request, resume *actuary.CoordinatorCheckpoint, save func(*actuary.CoordinatorCheckpoint) error) (*actuary.SweepBest, error) {
@@ -433,7 +440,7 @@ func (c *Coordinator) recordStats(sched *scheduler, shards int) {
 
 // SweepBestScenario answers the single sweep-best question of a
 // scenario by fanning it across the fleet — the scenario-file face of
-// SweepBest, used by cmd/explore -fleet.
+// SweepBest, used by cmd/explore -backends and -fleet.
 func (c *Coordinator) SweepBestScenario(ctx context.Context, cfg actuary.ScenarioConfig) (*actuary.SweepBest, error) {
 	return c.SweepBestScenarioCheckpointed(ctx, cfg, nil, nil)
 }

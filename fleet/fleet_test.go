@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -52,14 +53,14 @@ func singleProcessBest(t testing.TB, req actuary.Request) *actuary.SweepBest {
 
 // assertSameBest checks a fleet answer against the single-process
 // one: top-K and Pareto byte-identical, summary exact except Sum
-// (floating-point reassociation), statistics exact.
+// (floating-point reassociation), statistics and first failure exact.
 func assertSameBest(t *testing.T, got, want *actuary.SweepBest) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Top, want.Top) {
-		t.Errorf("Top diverged from the single-process answer")
+		t.Errorf("Top = %v\nwant %v", ids(got.Top), ids(want.Top))
 	}
 	if !reflect.DeepEqual(got.Pareto, want.Pareto) {
-		t.Errorf("Pareto diverged from the single-process answer")
+		t.Errorf("Pareto = %v\nwant %v", ids(got.Pareto), ids(want.Pareto))
 	}
 	gs, ws := got.Summary, want.Summary
 	if gs.Count != ws.Count || gs.Min != ws.Min || gs.Max != ws.Max ||
@@ -73,6 +74,48 @@ func assertSameBest(t *testing.T, got, want *actuary.SweepBest) {
 		t.Errorf("stats = %d/%d/%d pruned/deduped/infeasible, want %d/%d/%d",
 			got.Pruned, got.Deduped, got.Infeasible, want.Pruned, want.Deduped, want.Infeasible)
 	}
+	// The merged first failure is the globally first failing candidate,
+	// rendered identically whether or not it crossed the wire.
+	if (got.FirstFailure == nil) != (want.FirstFailure == nil) {
+		t.Errorf("FirstFailure presence = %v, want %v", got.FirstFailure, want.FirstFailure)
+	} else if want.FirstFailure != nil {
+		if g, w := actuary.FailureCause(got.FirstFailure).Error(), actuary.FailureCause(want.FirstFailure).Error(); g != w {
+			t.Errorf("FirstFailure = %q, want %q", g, w)
+		}
+		if got.FirstFailureCandidate != want.FirstFailureCandidate {
+			t.Errorf("FirstFailureCandidate = %d, want %d", got.FirstFailureCandidate, want.FirstFailureCandidate)
+		}
+	}
+}
+
+func ids(pts []actuary.SweepPoint) []string {
+	out := make([]string, len(pts))
+	for i, p := range pts {
+		out[i] = p.ID
+	}
+	return out
+}
+
+// fixedPool builds the coordinator explore -backends runs: the
+// backends as a fixed registry, no health monitor, speculation off (a
+// shard moves only after a completed transport failure), and one
+// shard per backend unless shards > 0.
+func fixedPool(t testing.TB, shards int, backends ...client.Backend) *Coordinator {
+	t.Helper()
+	reg := NewRegistry()
+	for i, b := range backends {
+		if err := reg.Add(fmt.Sprintf("backend-%d", i), b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if shards < 1 {
+		shards = len(backends)
+	}
+	coord, err := New(reg, WithShards(shards), WithSpeculation(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return coord
 }
 
 // countingBackend counts Evaluate calls.
@@ -335,70 +378,97 @@ func TestFleetAllBackendsDown(t *testing.T) {
 	}
 }
 
-// TestFleetCheckpointResumeNeverRedispatchesDrained: resuming from a
-// checkpoint dispatches only the undrained shards, speculation
-// notwithstanding, and the merged answer is exact.
+// TestFleetCheckpointResumeNeverRedispatchesDrained: a run
+// interrupted after some shards drained and restarted from its
+// checkpoint dispatches only the undrained shards — speculation
+// notwithstanding, and on the fixed pool explore -backends runs — and
+// still merges the exact answer. The checkpoint takes the same wire
+// round trip a real restart would.
 func TestFleetCheckpointResumeNeverRedispatchesDrained(t *testing.T) {
 	grid := testGrid()
 	req := actuary.Request{Question: actuary.QuestionSweepBest, Grid: &grid, TopK: 4}
 	want := singleProcessBest(t, req)
 	const shards = 6
 
-	reg := NewRegistry()
-	if err := reg.Add("one", client.Local(newSession(t))); err != nil {
-		t.Fatal(err)
-	}
-	coord, err := New(reg, WithShards(shards))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var last *actuary.CoordinatorCheckpoint
-	_, err = coord.SweepBestCheckpointed(ctx, req, nil, func(cp *actuary.CoordinatorCheckpoint) error {
-		last = cp
-		if len(cp.Completed) == shards/2 {
-			cancel()
-		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("interrupted run should fail with the cancellation")
-	}
-	if last == nil || len(last.Completed) < shards/2 || len(last.Completed) == shards {
-		t.Fatalf("unusable checkpoint: %+v", last)
-	}
-	// Deep-copy what a real restart would read back from disk.
-	resume := &actuary.CoordinatorCheckpoint{Fingerprint: last.Fingerprint, Shards: last.Shards,
-		Completed: append([]actuary.ShardResult(nil), last.Completed...)}
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"speculating", []Option{WithShards(shards)}},
+		{"fixed", []Option{WithShards(shards), WithSpeculation(false)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// First run: abort (via context cancel) once half the shards
+			// have checkpointed.
+			reg := NewRegistry()
+			if err := reg.Add("one", client.Local(newSession(t))); err != nil {
+				t.Fatal(err)
+			}
+			coord, err := New(reg, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var last *actuary.CoordinatorCheckpoint
+			_, err = coord.SweepBestCheckpointed(ctx, req, nil, func(cp *actuary.CoordinatorCheckpoint) error {
+				data, err := json.Marshal(cp)
+				if err != nil {
+					return err
+				}
+				back := new(actuary.CoordinatorCheckpoint)
+				if err := json.Unmarshal(data, back); err != nil {
+					return err
+				}
+				last = back
+				if len(back.Completed) == shards/2 {
+					cancel() // the "kill"
+				}
+				return nil
+			})
+			if err == nil {
+				t.Fatal("interrupted run should fail with the cancellation")
+			}
+			if last == nil || len(last.Completed) < shards/2 || len(last.Completed) == shards {
+				t.Fatalf("unusable checkpoint: %+v", last)
+			}
 
-	reg2 := NewRegistry()
-	counter := &shardCounter{inner: client.Local(newSession(t)), calls: map[int]int{}}
-	if err := reg2.Add("two", counter); err != nil {
-		t.Fatal(err)
-	}
-	coord2, err := New(reg2, WithShards(shards))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := coord2.SweepBestCheckpointed(context.Background(), req, resume, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameBest(t, got, want)
-	counter.mu.Lock()
-	defer counter.mu.Unlock()
-	for _, sr := range resume.Completed {
-		if counter.calls[sr.Shard] != 0 {
-			t.Errorf("drained shard %d re-dispatched %d times", sr.Shard, counter.calls[sr.Shard])
-		}
-	}
-	total := 0
-	for _, c := range counter.calls {
-		total += c
-	}
-	if total != shards-len(resume.Completed) {
-		t.Errorf("resumed run evaluated %d shards, want %d", total, shards-len(resume.Completed))
+			// Second run: a fresh coordinator (fresh session — a restarted
+			// process) resumes from the checkpoint.
+			reg2 := NewRegistry()
+			counter := &shardCounter{inner: client.Local(newSession(t)), calls: map[int]int{}}
+			if err := reg2.Add("two", counter); err != nil {
+				t.Fatal(err)
+			}
+			coord2, err := New(reg2, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var final *actuary.CoordinatorCheckpoint
+			got, err := coord2.SweepBestCheckpointed(context.Background(), req, last,
+				func(cp *actuary.CoordinatorCheckpoint) error { final = cp; return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameBest(t, got, want)
+			counter.mu.Lock()
+			defer counter.mu.Unlock()
+			for _, sr := range last.Completed {
+				if counter.calls[sr.Shard] != 0 {
+					t.Errorf("drained shard %d re-dispatched %d times", sr.Shard, counter.calls[sr.Shard])
+				}
+			}
+			total := 0
+			for _, c := range counter.calls {
+				total += c
+			}
+			if total != shards-len(last.Completed) {
+				t.Errorf("resumed run evaluated %d shards, want %d", total, shards-len(last.Completed))
+			}
+			if final == nil || len(final.Completed) != shards {
+				t.Errorf("final checkpoint = %+v, want all %d shards recorded", final, shards)
+			}
+		})
 	}
 }
 
@@ -446,6 +516,7 @@ func TestFleetRejectsBadInputs(t *testing.T) {
 		{Question: actuary.QuestionSweepBest},                                            // no grid
 		{Question: actuary.QuestionRE, Grid: &grid},                                      // wrong question
 		{Question: actuary.QuestionSweepBest, Grid: &grid, ShardIndex: 1, ShardCount: 2}, // pre-sharded
+		{Question: actuary.QuestionSweepBest, Grid: &actuary.SweepGrid{Name: "noaxes"}},  // invalid grid
 	}
 	for i, req := range bad {
 		if _, err := coord.SweepBest(context.Background(), req); err == nil {

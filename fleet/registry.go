@@ -1,7 +1,10 @@
-// Package fleet turns a fixed set of evaluation backends into an
-// elastic, health-aware pool. Where package distribute fans a sweep
-// over backends it assumes are equally fast and permanently alive,
-// fleet adds the machinery real deployments need:
+// Package fleet fans one design-space sweep (or one streamed
+// scenario) across many evaluation backends — in-process Sessions,
+// remote actuaryd daemons, or a mix — and merges the per-shard answers
+// back into exactly the single-process answer. Beyond a fixed pool
+// (see WithShards and WithSpeculation(false): one shard per backend,
+// a shard moves only after a completed transport failure), it adds
+// the machinery real deployments need:
 //
 //   - a Registry backends can join and leave while a sweep is running,
 //   - a Monitor that probes each backend's health and load and feeds
@@ -12,11 +15,13 @@
 //   - a Resizer that grows and shrinks an in-process Session's worker
 //     pool from its own back-pressure metrics.
 //
-// The merge semantics are inherited unchanged from distribute: every
-// shard is merged exactly once (speculative duplicates are discarded
-// at the scheduler, first result wins), so the final answer stays
-// byte-identical to the single-process sweep no matter how many
-// backends raced, died, or joined late.
+// Every shard is merged exactly once (speculative duplicates are
+// discarded at the scheduler, first result wins), so the final answer
+// stays byte-identical to the single-process sweep no matter how many
+// backends raced, died, or joined late. Byte-identity assumes backends
+// computing identical floats (same Go version and CPU architecture);
+// across a heterogeneous fleet, last-ulp cost differences can resolve
+// an exact tie differently.
 package fleet
 
 import (

@@ -12,9 +12,8 @@ import (
 // and burn fleet capacity the tail of the sweep wants back.
 const speculationCap = 2
 
-// task is one shard of the sweep as the scheduler tracks it. Unlike
-// distribute's pending-queue entries, a task is never removed from the
-// scheduler while the run lives: tried and running record its full
+// task is one shard of the sweep as the scheduler tracks it. A task is
+// never removed from the scheduler while the run lives: tried and running record its full
 // history so work stealing and speculative re-execution can reason
 // about who has it and who already dropped it.
 type task struct {
@@ -41,7 +40,7 @@ type backendTally struct {
 	transportFailures int
 }
 
-// scheduler hands shards to backend workers. It extends distribute's
+// scheduler hands shards to backend workers. It extends a
 // pending-list-plus-condvar design with three fleet behaviors:
 //
 //   - health gating: a worker whose backend the monitor marked down

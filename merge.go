@@ -36,7 +36,7 @@ func newSweepPareto() *sweep.Pareto[SweepPoint] {
 }
 
 // ShardID labels shard index of count of a request ID — the one format
-// both the scenario compiler and the distribute coordinator stamp, so
+// both the scenario compiler and the fleet coordinator stamp, so
 // shard requests correlate across logs, metrics and results whichever
 // path dispatched them.
 func ShardID(id string, index, count int) string {

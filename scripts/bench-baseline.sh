@@ -25,10 +25,19 @@
 # re-running this script on the same machine and comparing (CI runs a
 # coarse 25% gate against a cache-kept baseline; see bench-smoke).
 #
-# Usage: scripts/bench-baseline.sh [OUTPUT.json]
+# The document records the CPU model and core count it was measured
+# on ("cpu", "nproc"); compare only baselines from the same machine.
+#
+# Usage: scripts/bench-baseline.sh OUTPUT.json
+# OUTPUT.json is required: a checked-in baseline is never overwritten
+# by accident.
 set -euo pipefail
 
-out=${1:-BENCH_PR9.json}
+if [[ $# -ne 1 ]]; then
+  echo "usage: scripts/bench-baseline.sh OUTPUT.json" >&2
+  exit 2
+fi
+out=$1
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
@@ -40,8 +49,8 @@ echo "bench-baseline: running BenchmarkSessionStreamSweep" >&2
 go test -run '^$' -bench '^BenchmarkSessionStreamSweep$' -benchmem -benchtime 20x . \
   > "$tmp/stream.txt"
 echo "bench-baseline: running BenchmarkDistributedSweep" >&2
-go test -run '^$' -bench '^BenchmarkDistributedSweep$' -benchmem -benchtime 2x ./distribute \
-  > "$tmp/distribute.txt"
+go test -run '^$' -bench '^BenchmarkDistributedSweep$' -benchmem -benchtime 2x ./fleet \
+  > "$tmp/fleet.txt"
 echo "bench-baseline: running BenchmarkSearchBest" >&2
 go test -run '^$' -bench '^BenchmarkSearchBest$' -benchmem -benchtime 2x . \
   > "$tmp/search.txt"
@@ -79,7 +88,11 @@ parse() {
   ' "$1"
 }
 
-{ parse "$tmp/stream.txt" 568; parse "$tmp/distribute.txt" 50736; parse "$tmp/search.txt" 112008; } | sed '$ s/,$//' > "$tmp/bench.jsonl"
+{ parse "$tmp/stream.txt" 568; parse "$tmp/fleet.txt" 50736; parse "$tmp/search.txt" 112008; } | sed '$ s/,$//' > "$tmp/bench.jsonl"
+
+# The CPU model, with JSON-breaking characters dropped.
+cpu=$(grep -m1 '^model name' /proc/cpuinfo 2>/dev/null | sed 's/^[^:]*: *//; s/["\\]//g' || true)
+cpu=${cpu:-unknown}
 
 # delta_vs: ratios against the newest previous checked-in baseline
 # (any BENCH_*.json other than the file being written).
@@ -129,6 +142,8 @@ lookup() { # lookup FILE NAME FIELD -> value or empty
   echo "  \"go\": \"$(go env GOVERSION)\","
   echo "  \"goos\": \"$(go env GOOS)\","
   echo "  \"goarch\": \"$(go env GOARCH)\","
+  echo "  \"cpu\": \"$cpu\","
+  echo "  \"nproc\": $(nproc),"
   echo "  \"note\": \"regenerate with scripts/bench-baseline.sh $out and compare on the same machine; delta_vs ratios are new/old\""
   echo '}'
 } > "$out"
