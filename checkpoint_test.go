@@ -8,10 +8,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"chipletactuary"
 )
@@ -365,29 +363,6 @@ func TestSaveLoadCheckpointFile(t *testing.T) {
 	}
 }
 
-// TestOrderedResults checks the reordering contract: completion-order
-// input, index-order output, pass-through below the start index, and
-// an ascending flush after a gap.
-func TestOrderedResults(t *testing.T) {
-	in := make(chan actuary.Result, 8)
-	for _, i := range []int{4, 2, 3, 5} {
-		in <- actuary.Result{Index: i}
-	}
-	in <- actuary.Result{Index: -1} // transport error: passes straight through
-	in <- actuary.Result{Index: 7}  // 6 never arrives: flushed after close
-	close(in)
-	var got []int
-	for r := range actuary.OrderedResults(context.Background(), in, 2) {
-		got = append(got, r.Index)
-	}
-	want := []int{2, 3, 4, 5, -1, 7}
-	// Index 4 buffers until 2 and 3 arrive; -1 passes through on
-	// arrival; 7 flushes at close despite the missing 6.
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("ordered indexes %v, want %v", got, want)
-	}
-}
-
 // TestStreamCheckpointResume is the local-stream acceptance test:
 // a scenario stream interrupted mid-flight and resumed from its last
 // checkpoint ends with aggregates byte-identical to an uninterrupted
@@ -586,30 +561,6 @@ func TestCheckpointVersionMessage(t *testing.T) {
 	err := json.Unmarshal([]byte(`{"version":99,"fingerprint":"f","cursor":{"candidate":0,"stats":{}},"summary":{"count":0,"min":0,"max":0,"sum":0}}`), &cp)
 	if err == nil || !strings.Contains(err.Error(), "version 99") || !strings.Contains(err.Error(), "version 1") {
 		t.Fatalf("version error %v should name both versions", err)
-	}
-}
-
-// TestOrderedResultsCancellation pins the abandonment contract: a
-// consumer that cancels the context and walks away without draining
-// must release the reordering goroutine, exactly as it may with the
-// raw stream channel.
-func TestOrderedResultsCancellation(t *testing.T) {
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan actuary.Result, 2)
-	out := actuary.OrderedResults(ctx, in, 0)
-	in <- actuary.Result{Index: 1} // held as pending: index 0 is missing
-	in <- actuary.Result{Index: 2}
-	cancel()
-	close(in)
-	_ = out // abandoned: no reader, ever
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("reordering goroutine still alive %d > %d — leaked after cancel+abandon",
-				runtime.NumGoroutine(), before)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -747,23 +747,6 @@ func (c *chainSource) Next() (Request, bool) {
 	}
 }
 
-// NextSlab implements SlabSource, so scenario streams (including the
-// server's /v1/stream) ride slab dispatch. Slabs simply concatenate
-// the stage walk — crossing stage boundaries mid-slab is fine because
-// a slab is only a dispatch batch, never a semantic unit.
-func (c *chainSource) NextSlab(dst []Request) int {
-	n := 0
-	for n < len(dst) {
-		r, ok := c.Next()
-		if !ok {
-			break
-		}
-		dst[n] = r
-		n++
-	}
-	return n
-}
-
 // systemsStage yields every per-system question of every explicit
 // system, in scenario order, dealt through the shard stripe. The
 // systems are already materialized (a scenario declares at most a

@@ -90,48 +90,30 @@ func updateMax(m *atomic.Int64, v int64) {
 	}
 }
 
-// enqueued records one request about to enter the job queue. It runs
-// before the channel send so the worker-side decrement can never win
-// the race and drive the gauge negative.
-func (m *sessionMetrics) enqueued() {
-	depth := m.queueDepth.Add(1)
-	updateMax(&m.queueDepthMax, depth)
-	m.queueSamples.Add(1)
-	m.queueSum.Add(depth)
-}
-
-// enqueueAborted rolls back an enqueued() whose send was abandoned on
-// cancellation (the sample stays: it observed a real depth).
-func (m *sessionMetrics) enqueueAborted() {
-	m.queueDepth.Add(-1)
-}
-
-// enqueuedSlab is enqueued() for a slab of n requests: the gauge
-// moves once and each request records the post-add depth as its
-// sample, so MeanQueueDepth stays comparable with point dispatch
-// without n round trips through the atomics.
-func (m *sessionMetrics) enqueuedSlab(n int) {
+// enqueued records a slab of n requests about to enter the job queue.
+// It runs before the channel send so the worker-side decrement can
+// never win the race and drive the gauge negative. The gauge moves
+// once and each request records the post-add depth as its sample, so
+// the per-request mean costs one round trip through the atomics.
+func (m *sessionMetrics) enqueued(n int) {
 	depth := m.queueDepth.Add(int64(n))
 	updateMax(&m.queueDepthMax, depth)
 	m.queueSamples.Add(int64(n))
 	m.queueSum.Add(int64(n) * depth)
 }
 
-func (m *sessionMetrics) enqueueAbortedSlab(n int) {
+// enqueueAborted rolls back an enqueued(n) whose send was abandoned on
+// cancellation (the samples stay: they observed a real depth).
+func (m *sessionMetrics) enqueueAborted(n int) {
 	m.queueDepth.Add(int64(-n))
 }
 
-// dequeuedSlab moves the queue gauge for a whole slab at once; the
-// per-request finished() calls still retire inFlight one at a time.
-func (m *sessionMetrics) dequeuedSlab(n int) {
+// dequeued moves the queue gauge for a whole slab of n requests at
+// once; the per-request finished() calls retire inFlight one at a
+// time.
+func (m *sessionMetrics) dequeued(n int) {
 	m.queueDepth.Add(int64(-n))
 	updateMax(&m.inFlightMax, m.inFlight.Add(int64(n)))
-}
-
-// dequeued records a worker picking a request up.
-func (m *sessionMetrics) dequeued() {
-	m.queueDepth.Add(-1)
-	updateMax(&m.inFlightMax, m.inFlight.Add(1))
 }
 
 // finished records one evaluated request: its latency, outcome and
@@ -213,9 +195,9 @@ type SessionMetrics struct {
 }
 
 // MeanQueueDepth returns the average depth observed at enqueue time
-// (0 before any request). Each sample counts the request being
-// enqueued, so a stream that never backs up still reports a mean
-// of 1.
+// (0 before any request). Each request samples the depth after its
+// whole slab entered the queue, so a stream that never backs up
+// reports a mean of about its slab size (1 under StreamSlabSize(1)).
 func (m SessionMetrics) MeanQueueDepth() float64 {
 	if m.QueueDepthSamples == 0 {
 		return 0

@@ -553,11 +553,10 @@ func TestStreamEndpointResume(t *testing.T) {
 	}
 }
 
-// TestStreamNDJSONSlabPointIdentity checks the dispatch-mode
-// equivalence on the wire: an ordered /v1/stream response (which rides
-// slab dispatch — scenario sources implement SlabSource) must be
+// TestStreamNDJSONSlabPointIdentity checks the slab-size equivalence
+// on the wire: an ordered /v1/stream response (default slabs) must be
 // byte-identical, line for line, to the same scenario streamed locally
-// with slab dispatch forced off, across resume points.
+// in one-request slabs, across resume points.
 func TestStreamNDJSONSlabPointIdentity(t *testing.T) {
 	_, ts := newTestServer(t, []actuary.Option{actuary.WithWorkers(3)})
 	cfg := actuary.ScenarioConfig{
@@ -585,8 +584,8 @@ func TestStreamNDJSONSlabPointIdentity(t *testing.T) {
 		}
 		streamed := strings.Split(strings.TrimSpace(string(data)), "\n")
 
-		// Point path: same scenario on a fresh local session, slab
-		// dispatch forced off, results marshaled like the handler does.
+		// Same scenario on a fresh local session in one-request slabs,
+		// results marshaled like the handler does.
 		src, err := cfg.Source()
 		if err != nil {
 			t.Fatal(err)
@@ -609,7 +608,7 @@ func TestStreamNDJSONSlabPointIdentity(t *testing.T) {
 			want = append(want, string(line))
 		}
 		if len(streamed) != len(want) {
-			t.Fatalf("resume %d: streamed %d lines, point path yields %d", next, len(streamed), len(want))
+			t.Fatalf("resume %d: streamed %d lines, one-request slabs yield %d", next, len(streamed), len(want))
 		}
 		for i := range want {
 			if streamed[i] != want[i] {

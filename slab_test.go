@@ -9,10 +9,16 @@ import (
 	"chipletactuary"
 )
 
+// plainSource hides the concrete type of the source it wraps, as a
+// caller's own RequestSource would.
+type plainSource struct{ inner actuary.RequestSource }
+
+func (p plainSource) Next() (actuary.Request, bool) { return p.inner.Next() }
+
 // collectOrdered drains one ordered stream of the given grid shard
-// into a slice. slabSize 0 means the default slab path; 1 forces the
-// point path.
-func collectOrdered(t *testing.T, s *actuary.Session, grid actuary.SweepGrid, shard, shards, resumeAt, slabSize int) []actuary.Result {
+// into a slice. slabSize 0 means the default slab size; 1 forces
+// one-request slabs. plain wraps the sweep source in plainSource.
+func collectOrdered(t *testing.T, s *actuary.Session, grid actuary.SweepGrid, shard, shards, resumeAt, slabSize int, plain bool) []actuary.Result {
 	t.Helper()
 	gen := grid.Points()
 	if shards > 1 {
@@ -21,6 +27,9 @@ func collectOrdered(t *testing.T, s *actuary.Session, grid actuary.SweepGrid, sh
 	src, err := actuary.SweepSource(gen, actuary.QuestionTotalCost, actuary.PerSystemUnit)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if plain {
+		src = plainSource{src}
 	}
 	opts := []actuary.StreamOption{actuary.StreamOrdered(), actuary.StreamResumeAt(resumeAt)}
 	if slabSize > 0 {
@@ -38,9 +47,10 @@ func collectOrdered(t *testing.T, s *actuary.Session, grid actuary.SweepGrid, sh
 }
 
 // TestSlabPathMatchesPointPath is the dispatch-equivalence property
-// test: across randomized grids, shard counts, resume points and slab
-// sizes, the slab path must deliver exactly the results the point path
-// delivers — same indexes, same IDs, same bits, same errors.
+// test: across randomized grids, shard counts, resume points, slab
+// sizes and source types, every slab size must deliver exactly the
+// results one-request slabs deliver — same indexes, same IDs, same
+// bits, same errors.
 func TestSlabPathMatchesPointPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := newTestSession(t, actuary.WithWorkers(2))
@@ -56,15 +66,17 @@ func TestSlabPathMatchesPointPath(t *testing.T) {
 		for _, shards := range []int{1, 3} {
 			for shard := 0; shard < shards; shard++ {
 				resumeAt := rng.Intn(5)
-				point := collectOrdered(t, s, grid, shard, shards, resumeAt, 1)
+				point := collectOrdered(t, s, grid, shard, shards, resumeAt, 1, false)
 				if len(point) == 0 {
-					t.Fatalf("trial %d shard %d/%d: point path empty", trial, shard, shards)
+					t.Fatalf("trial %d shard %d/%d: one-request slabs empty", trial, shard, shards)
 				}
 				for _, slab := range []int{0, 5} { // default and a deliberately odd size
-					got := collectOrdered(t, s, grid, shard, shards, resumeAt, slab)
-					if !reflect.DeepEqual(got, point) {
-						t.Fatalf("trial %d shard %d/%d resume %d slab %d: %d results diverge from point path (%d results)",
-							trial, shard, shards, resumeAt, slab, len(got), len(point))
+					for _, plain := range []bool{false, true} {
+						got := collectOrdered(t, s, grid, shard, shards, resumeAt, slab, plain)
+						if !reflect.DeepEqual(got, point) {
+							t.Fatalf("trial %d shard %d/%d resume %d slab %d plain %v: %d results diverge from one-request slabs (%d results)",
+								trial, shard, shards, resumeAt, slab, plain, len(got), len(point))
+						}
 					}
 				}
 			}
@@ -73,8 +85,8 @@ func TestSlabPathMatchesPointPath(t *testing.T) {
 }
 
 // TestSlabSweepBestMatchesPointPath runs sharded sweep-best requests
-// through both dispatch modes of the same session and demands
-// byte-identical answers, shard by shard.
+// through default and one-request slabs on the same session and
+// demands byte-identical answers, shard by shard.
 func TestSlabSweepBestMatchesPointPath(t *testing.T) {
 	s := newTestSession(t, actuary.WithWorkers(2))
 	grid := testGrid(mustAreaRange(t, 200, 800, 50), []int{1, 2, 3, 4})
@@ -110,7 +122,7 @@ func TestSlabSweepBestMatchesPointPath(t *testing.T) {
 	point := run(1)
 	slab := run(0)
 	if !reflect.DeepEqual(slab, point) {
-		t.Fatalf("sweep-best answers diverge between slab and point dispatch:\nslab:  %+v\npoint: %+v", slab, point)
+		t.Fatalf("sweep-best answers diverge between default and one-request slabs:\nslab:  %+v\npoint: %+v", slab, point)
 	}
 }
 
@@ -121,13 +133,15 @@ func TestSlabSweepBestMatchesPointPath(t *testing.T) {
 func TestSlabResumeContinuation(t *testing.T) {
 	s := newTestSession(t, actuary.WithWorkers(2))
 	grid := testGrid(mustAreaRange(t, 100, 400, 20), []int{1, 2, 3})
-	full := collectOrdered(t, s, grid, 0, 1, 0, 0)
+	full := collectOrdered(t, s, grid, 0, 1, 0, 0, false)
 	for _, cut := range []int{1, 7, len(full) - 2} {
 		for _, slab := range []int{0, 1, 3} {
-			rest := collectOrdered(t, s, grid, 0, 1, cut, slab)
-			if !reflect.DeepEqual(rest, full[cut:]) {
-				t.Fatalf("resume at %d with slab %d: suffix diverges (%d results, want %d)",
-					cut, slab, len(rest), len(full)-cut)
+			for _, plain := range []bool{false, true} {
+				rest := collectOrdered(t, s, grid, 0, 1, cut, slab, plain)
+				if !reflect.DeepEqual(rest, full[cut:]) {
+					t.Fatalf("resume at %d with slab %d plain %v: suffix diverges (%d results, want %d)",
+						cut, slab, plain, len(rest), len(full)-cut)
+				}
 			}
 		}
 	}

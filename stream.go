@@ -60,22 +60,6 @@ type RequestSource interface {
 	Next() (Request, bool)
 }
 
-// SlabSource is a RequestSource that can also hand out runs of
-// consecutive requests in one call. Session.Stream detects it and
-// switches to slab dispatch: one worker job carries a whole slab, so
-// channel sends, queue metrics and scheduling are paid once per slab
-// instead of once per point. NextSlab fills dst with up to len(dst)
-// requests and returns how many it produced; 0 means exhausted. The
-// concatenation of the slabs must be exactly the sequence Next would
-// have produced, so slab and point consumers see identical request
-// streams (resume cursors and result indexes stay per-request either
-// way). Sources that cannot produce runs cheaply just implement
-// RequestSource and are served point by point.
-type SlabSource interface {
-	RequestSource
-	NextSlab(dst []Request) int
-}
-
 // sourceFunc adapts a closure to a RequestSource.
 type sourceFunc func() (Request, bool)
 
@@ -94,13 +78,6 @@ func (s *sliceSource) Next() (Request, bool) {
 	r := s.reqs[s.i]
 	s.i++
 	return r, true
-}
-
-// NextSlab implements SlabSource: a materialized batch is one long run.
-func (s *sliceSource) NextSlab(dst []Request) int {
-	n := copy(dst, s.reqs[s.i:])
-	s.i += n
-	return n
 }
 
 // SliceSource adapts an explicit batch to the streaming API.
@@ -127,21 +104,23 @@ func SweepSource(gen *SweepGenerator, question Question, policy AmortizationPoli
 	}, nil
 }
 
-// sweepSource adapts a generator to the streaming API. It implements
-// SlabSource, so Session.Stream serves sweeps in slabs; the question
+// sweepSource adapts a generator to the streaming API; the question
 // suffix is rendered once here instead of once per point.
 type sweepSource struct {
 	gen      *SweepGenerator
 	suffix   string
 	question Question
 	policy   AmortizationPolicy
-	points   []DesignPoint // slab scratch, reused across NextSlab calls
 }
 
-func (s *sweepSource) request(p DesignPoint) Request {
+func (s *sweepSource) Next() (Request, bool) {
+	p, ok := s.gen.Next()
+	if !ok {
+		return Request{}, false
+	}
 	if p.System.Name == "" && s.gen.IsLean() {
-		// A lean generator leaves Point.System zero; the point path
-		// still needs it, so materialize here. PartitionEqual cannot
+		// A lean generator leaves Point.System zero; evaluation still
+		// needs it, so materialize here. PartitionEqual cannot
 		// fail for a point the lean walk emitted — its unbuildable
 		// combinations were pruned by the same checks.
 		if sys, err := system.PartitionEqual(p.ID, p.Node, p.AreaMM2, p.K, p.Scheme, s.gen.D2D(), p.Quantity); err == nil {
@@ -153,31 +132,7 @@ func (s *sweepSource) request(p DesignPoint) Request {
 		Question: s.question,
 		System:   p.System,
 		Policy:   s.policy,
-	}
-}
-
-func (s *sweepSource) Next() (Request, bool) {
-	p, ok := s.gen.Next()
-	if !ok {
-		return Request{}, false
-	}
-	return s.request(p), true
-}
-
-// NextSlab implements SlabSource by pulling one generator slab — an
-// innermost-axis run of the grid walk, which is what keeps the
-// evaluator's partial caches hot within a worker job.
-func (s *sweepSource) NextSlab(dst []Request) int {
-	if cap(s.points) < len(dst) {
-		s.points = make([]DesignPoint, len(dst))
-	}
-	pts := s.points[:len(dst)]
-	n := s.gen.NextSlab(pts)
-	for i := 0; i < n; i++ {
-		dst[i] = s.request(pts[i])
-		pts[i] = DesignPoint{} // release the System backing arrays
-	}
-	return n
+	}, true
 }
 
 // StreamOption tunes Session.Stream.
@@ -211,26 +166,24 @@ func streamDeliverAll() StreamOption {
 // source ahead of the consumer (the job queue and result buffer each
 // hold this many). The default is twice the session's worker count;
 // values below 1 are raised to 1. Together with the worker count this
-// caps the stream's memory: at most inFlight queued + workers running
-// + inFlight buffered results exist at any moment, independent of
-// sweep size.
+// caps the stream's memory: at most inFlight queued + one slab per
+// running worker + inFlight buffered results exist at any moment,
+// independent of sweep size.
 func StreamInFlight(n int) StreamOption {
 	return func(c *streamConfig) { c.inFlight = n; c.hasInFlight = true }
 }
 
-// DefaultSlabSize is how many requests ride in one worker job when the
-// source supports slab dispatch (see SlabSource) and StreamSlabSize is
-// not given. Sized so dispatch overhead amortizes to noise while a
-// slab still regenerates in microseconds on resume.
+// DefaultSlabSize is how many requests ride in one worker job when
+// StreamSlabSize is not given. Sized so dispatch overhead amortizes to
+// noise while a slab still regenerates in microseconds on resume.
 const DefaultSlabSize = 32
 
-// StreamSlabSize sets how many requests one worker job carries when
-// the source supports slab dispatch; n ≤ 1 forces point-at-a-time
-// dispatch even for slab-capable sources (the lever equivalence tests
-// use to compare the two paths). Slabs only batch dispatch: results,
-// indexes and resume cursors stay per-request, so checkpoints taken
-// under one slab size resume correctly under any other. Sources that
-// do not implement SlabSource are unaffected.
+// StreamSlabSize sets how many requests one worker job carries (never
+// more than the in-flight bound); n ≤ 1 means one-request slabs (the
+// lever equivalence tests use to compare slab sizes). Slabs only batch
+// dispatch: the pump fills each one by calling the source's Next, and
+// results, indexes and resume cursors stay per-request, so checkpoints
+// taken under one slab size resume correctly under any other.
 func StreamSlabSize(n int) StreamOption {
 	return func(c *streamConfig) {
 		if n < 1 {
@@ -280,9 +233,8 @@ type StreamSpec struct {
 	// InFlight bounds how many requests may be pulled ahead of the
 	// consumer; 0 keeps the session default (see StreamInFlight).
 	InFlight int
-	// SlabSize sets how many requests ride in one worker job for
-	// slab-capable sources; 0 keeps DefaultSlabSize (see
-	// StreamSlabSize).
+	// SlabSize sets how many requests ride in one worker job; 0 keeps
+	// DefaultSlabSize (see StreamSlabSize).
 	SlabSize int
 	// ResumeAt skips the first n requests without evaluation and
 	// numbers the survivors from n (see StreamResumeAt). A resumed
@@ -314,14 +266,13 @@ func (sp StreamSpec) Options() []StreamOption {
 	return opts
 }
 
+// streamJob carries a slab: a run of requests whose stream indexes are
+// index, index+1, … — one channel send for the lot. buf is the pool
+// token the worker returns after evaluation.
 type streamJob struct {
 	index int
-	req   Request
-	// slab, when non-nil, carries a run of requests whose stream
-	// indexes are index, index+1, … — one channel send for the lot.
-	// buf is the pool token the worker returns after evaluation.
-	slab []Request
-	buf  *[]Request
+	slab  []Request
+	buf   *[]Request
 }
 
 // slabBufPool recycles slab backing arrays between pump and workers so
@@ -355,9 +306,11 @@ func shrinkPool(live *atomic.Int64, target int) bool {
 // worker pool, and emits Results on the returned channel as they
 // complete (not in generation order — correlate by Result.Index or
 // ID). The channel closes when the source is exhausted and all results
-// are delivered. Generation is demand-driven: no more than the
-// in-flight bound (see StreamInFlight) is ever pulled ahead, so an
-// arbitrarily large sweep runs in bounded memory.
+// are delivered. Requests travel to the workers in slabs (see
+// StreamSlabSize) that the pump fills by calling src.Next. Generation
+// is demand-driven: no more than the in-flight bound (see
+// StreamInFlight) is ever queued ahead, so an arbitrarily large sweep
+// runs in bounded memory.
 //
 // Canceling ctx stops generation; requests already dequeued drain with
 // ErrCanceled results on a best-effort basis. The caller must either
@@ -374,17 +327,11 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	// Slab dispatch engages when the source can produce runs and the
-	// caller has not forced point mode. The slab size never exceeds the
-	// in-flight bound: that bound is the stream's memory contract.
-	slabSrc, _ := src.(SlabSource)
+	// The slab size never exceeds the in-flight bound: that bound is the
+	// stream's memory contract.
 	slab := cfg.slabSize
 	if slab == 0 {
 		slab = DefaultSlabSize
-	}
-	if slabSrc == nil || slab <= 1 {
-		slab = 1
-		slabSrc = nil
 	}
 	if !cfg.hasInFlight {
 		cfg.inFlight = 2 * s.Workers()
@@ -420,12 +367,8 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 	elastic := s.workerMax > s.workerMin
 	// The job queue is measured in requests, not sends: with slabs of
 	// size s it holds inFlight/s jobs, so the in-flight request bound
-	// is the same in both dispatch modes.
-	jobCap := cfg.inFlight
-	if slab > 1 {
-		jobCap = max(1, cfg.inFlight/slab)
-	}
-	jobs := make(chan streamJob, jobCap)
+	// holds whatever the slab size.
+	jobs := make(chan streamJob, max(1, cfg.inFlight/slab))
 	out := make(chan Result, cfg.inFlight)
 	metrics := s.metrics
 	metrics.streamsStarted.Add(1)
@@ -443,16 +386,10 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 		}
 	}
 
-	// Pump: the only goroutine touching the source. It blocks when the
-	// job queue is full, which is what keeps generation lazy. Each
-	// enqueue records a queue-depth sample — the back-pressure signal
-	// Session.Metrics surfaces. The gauge is raised before the send so
-	// a worker's decrement can never observe it un-incremented (the
-	// depth gauge must not go negative); an abandoned send rolls it
-	// back.
 	// acquireCredits pulls n dispatch credits (no-op when unordered);
-	// false means the context died first. returnCredits hands back the
-	// unused credits of a short final slab.
+	// false means the context died first. returnCredits hands n back:
+	// the unused credits of a short final slab, and the reorder stage's
+	// grant per drain burst.
 	acquireCredits := func(n int) bool {
 		if credits == nil {
 			return true
@@ -477,6 +414,11 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 			}
 		}
 	}
+	// Pump: the only goroutine touching the source. It blocks when the
+	// job queue is full, which is what keeps generation lazy. Each
+	// enqueue records queue-depth samples — the back-pressure signal
+	// Session.Metrics surfaces; the gauge is raised before the send
+	// (see sessionMetrics.enqueued) and an abandoned send rolls it back.
 	pumpDone := make(chan struct{})
 	go func() {
 		defer close(pumpDone)
@@ -493,53 +435,47 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 					return
 				}
 			}
-			if slabSrc != nil {
-				// Slab mode: credits stay request-granular (the ordered
-				// window is measured in requests), acquired in a batch before
-				// the slab is generated. cap(credits) ≥ slab always holds, so
-				// the batch can never deadlock; the unused credits of a short
-				// final slab go straight back.
-				for i := max(cfg.resumeAt, 0); ; {
-					if !acquireCredits(slab) {
-						return
-					}
-					buf := slabBufPool.Get().(*[]Request)
-					if cap(*buf) < slab {
-						*buf = make([]Request, slab)
-					}
-					n := slabSrc.NextSlab((*buf)[:slab])
-					if n == 0 {
-						slabBufPool.Put(buf)
-						returnCredits(slab)
-						return
-					}
-					returnCredits(slab - n)
-					metrics.enqueuedSlab(n)
-					select {
-					case jobs <- streamJob{index: i, slab: (*buf)[:n], buf: buf}:
-					case <-ctx.Done():
-						metrics.enqueueAbortedSlab(n)
-						slabBufPool.Put(buf)
-						return
-					}
-					i += n
-				}
-			}
-			for i := max(cfg.resumeAt, 0); ; i++ {
-				if !acquireCredits(1) {
+			// Credits stay request-granular (the ordered window is
+			// measured in requests), acquired in a batch before the slab
+			// is filled. cap(credits) ≥ slab always holds, so the batch
+			// can never deadlock; the unused credits of a short final
+			// slab go straight back.
+			for i := max(cfg.resumeAt, 0); ; {
+				if !acquireCredits(slab) {
 					return
 				}
-				req, ok := src.Next()
-				if !ok {
+				buf := slabBufPool.Get().(*[]Request)
+				if cap(*buf) < slab {
+					*buf = make([]Request, slab)
+				}
+				reqs := (*buf)[:slab]
+				n := 0
+				for n < slab {
+					req, ok := src.Next()
+					if !ok {
+						break
+					}
+					reqs[n] = req
+					n++
+				}
+				returnCredits(slab - n)
+				if n == 0 {
+					slabBufPool.Put(buf)
 					return
 				}
-				metrics.enqueued()
+				metrics.enqueued(n)
 				select {
-				case jobs <- streamJob{index: i, req: req}:
+				case jobs <- streamJob{index: i, slab: reqs[:n], buf: buf}:
 				case <-ctx.Done():
-					metrics.enqueueAborted()
+					metrics.enqueueAborted(n)
+					clear(reqs[:n]) // release the request payload references
+					slabBufPool.Put(buf)
 					return
 				}
+				if n < slab {
+					return
+				}
+				i += n
 			}
 		})
 	}()
@@ -587,20 +523,14 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 		}
 		pprof.Do(ctx, pprof.Labels("stage", "evaluate"), func(ctx context.Context) {
 			for j := range jobs {
-				switch {
-				case j.slab != nil:
-					metrics.dequeuedSlab(len(j.slab))
-					for k := range j.slab {
-						evalDeliver(j.index+k, j.slab[k])
-					}
-					clear(j.slab) // release the request payload references
-					slabBufPool.Put(j.buf)
-				default:
-					metrics.dequeued()
-					evalDeliver(j.index, j.req)
+				metrics.dequeued(len(j.slab))
+				for k := range j.slab {
+					evalDeliver(j.index+k, j.slab[k])
 				}
+				clear(j.slab) // release the request payload references
+				slabBufPool.Put(j.buf)
 				// Elastic shrink lands at job boundaries: the worker retires
-				// after delivering its result(s), never mid-evaluation.
+				// after delivering its results, never mid-evaluation.
 				if elastic && shrinkPool(&live, targetWidth()) {
 					retired = true
 					return
@@ -649,89 +579,50 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 		return out, nil
 	}
 	// The reorder stage sits between the workers and the consumer; its
-	// buffer cannot exceed the credit window, so the head result is
-	// always reachable by draining `out` eagerly — no deadlock, no
-	// unbounded pending map. Credits return to the pump in one batched
-	// grant per drain burst: under slow-head skew the head's completion
-	// releases a whole window of emissions, and granting them together
-	// wakes the pump once instead of once per point.
+	// buffer is a ring of exactly the credit window, so the head result
+	// is always reachable by draining `out` eagerly — no deadlock, no
+	// overflow. Credits return to the pump in one batched grant per
+	// drain burst: under slow-head skew the head's completion releases a
+	// whole window of emissions, and granting them together wakes the
+	// pump once instead of once per point.
 	ordered := make(chan Result, cfg.inFlight)
 	go func() {
 		pprof.Do(ctx, pprof.Labels("stage", "deliver"), func(ctx context.Context) {
-			reorderResults(ctx, out, ordered, max(cfg.resumeAt, 0), cap(credits), func(n int) {
-				for i := 0; i < n; i++ {
-					select {
-					case credits <- struct{}{}:
-					default: // gaps after cancellation may over-return; drop
-					}
-				}
-			})
+			reorderResults(ctx, out, ordered, max(cfg.resumeAt, 0), cap(credits), returnCredits)
 		})
 	}()
 	return ordered, nil
 }
 
-// reorderResults is the one reorder loop behind StreamOrdered and
-// OrderedResults: it pumps a completion-order channel into out in
-// index order starting at next, closing out when done. onEmit (may be
-// nil) runs once per drain burst with the number of in-order emissions
-// the burst produced — StreamOrdered returns that many dispatch
-// credits in one grant. Results with indexes below next pass through
-// immediately; a duplicate index can therefore never wedge the
-// watermark. When in closes with a gap outstanding (an interrupted
-// stream), the results beyond the gap flush in ascending order so no
-// computed result is silently dropped. A canceled ctx releases the
-// goroutine even if the consumer stopped reading, after draining in
-// as the stream contract requires.
-//
-// window > 0 promises the producer never runs more than window indexes
-// past the contiguous watermark (StreamOrdered's credit bound); the
-// buffer is then a preallocated ring indexed by Index mod window and
-// the hot loop allocates nothing per result. window ≤ 0 (or a producer
-// that breaks the promise, which StreamOrdered's cannot) falls back to
-// a map — OrderedResults wraps producers it does not own and cannot
-// bound, so it always takes the map.
+// reorderResults is StreamOrdered's reorder stage: it pumps a
+// completion-order channel into out in index order starting at next,
+// closing out when done. window is the stream's credit window: the
+// producer never runs more than window indexes past the contiguous
+// watermark, so every arriving index lies in [next, next+window) and
+// the buffer is a preallocated ring indexed by Index mod window — the
+// hot loop allocates nothing per result. onEmit runs once per drain
+// burst with the number of in-order emissions the burst produced;
+// StreamOrdered returns that many dispatch credits in one grant. When
+// in closes with a gap outstanding (an interrupted stream), the
+// results beyond the gap flush in ascending order so no computed
+// result is silently dropped. A canceled ctx releases the goroutine
+// even if the consumer stopped reading, after draining in as the
+// stream contract requires.
 func reorderResults(ctx context.Context, in <-chan Result, out chan<- Result, next, window int, onEmit func(int)) {
 	defer close(out)
-	var ring []Result
-	var occupied []bool
+	ring := make([]Result, window)
+	occupied := make([]bool, window)
 	held := 0 // occupied ring slots
-	if window > 0 {
-		ring = make([]Result, window)
-		occupied = make([]bool, window)
-	}
-	var pending map[int]Result // overflow and window-less fallback, lazy
-	store := func(r Result) {
-		if window > 0 && r.Index < next+window {
-			slot := r.Index % window
-			if !occupied[slot] {
-				occupied[slot] = true
-				held++
-			}
-			ring[slot] = r
-			return
-		}
-		if pending == nil {
-			pending = make(map[int]Result)
-		}
-		pending[r.Index] = r
-	}
 	take := func(i int) (Result, bool) {
-		if window > 0 {
-			slot := i % window
-			if occupied[slot] && ring[slot].Index == i {
-				r := ring[slot]
-				occupied[slot] = false
-				ring[slot] = Result{}
-				held--
-				return r, true
-			}
+		slot := i % window
+		if !occupied[slot] || ring[slot].Index != i {
+			return Result{}, false
 		}
-		r, ok := pending[i]
-		if ok {
-			delete(pending, i)
-		}
-		return r, ok
+		r := ring[slot]
+		occupied[slot] = false
+		ring[slot] = Result{}
+		held--
+		return r, true
 	}
 	send := func(r Result) bool {
 		select {
@@ -742,13 +633,12 @@ func reorderResults(ctx context.Context, in <-chan Result, out chan<- Result, ne
 		}
 	}
 	for r := range in {
-		if r.Index < next {
-			if !send(r) {
-				break
-			}
-			continue
+		slot := r.Index % window
+		if !occupied[slot] {
+			occupied[slot] = true
+			held++
 		}
-		store(r)
+		ring[slot] = r
 		delivered := true
 		emitted := 0
 		for delivered {
@@ -760,7 +650,7 @@ func reorderResults(ctx context.Context, in <-chan Result, out chan<- Result, ne
 			next++
 			emitted++
 		}
-		if emitted > 0 && onEmit != nil {
+		if emitted > 0 {
 			onEmit(emitted)
 		}
 		if !delivered {
@@ -772,15 +662,12 @@ func reorderResults(ctx context.Context, in <-chan Result, out chan<- Result, ne
 	// in ascending order.
 	for range in {
 	}
-	if held > 0 || len(pending) > 0 {
-		rest := make([]int, 0, held+len(pending))
+	if held > 0 {
+		rest := make([]int, 0, held)
 		for slot, occ := range occupied {
 			if occ {
 				rest = append(rest, ring[slot].Index)
 			}
-		}
-		for i := range pending {
-			rest = append(rest, i)
 		}
 		sort.Ints(rest)
 		for _, i := range rest {
@@ -818,39 +705,6 @@ func Reduce(ch <-chan Result, aggs ...StreamAggregator) int {
 		}
 	}
 	return n
-}
-
-// OrderedResults reorders an arbitrary completion-order result
-// channel into source-index order, starting at next: result n is
-// emitted only once every result below n has been. Results with
-// indexes below next (client-side transport errors carry -1) pass
-// through immediately; when the input closes with a gap outstanding
-// (an interrupted stream), the results beyond the gap flush in
-// ascending order so no computed result is silently dropped.
-//
-// The buffer grows with however far the producer runs ahead of the
-// contiguous watermark — this helper cannot throttle a producer it
-// does not own. For Session streams use the StreamOrdered option
-// instead, which credit-limits dispatch so the reorder buffer stays
-// bounded even under heavily skewed request costs.
-//
-// The context keeps the wrapper's abandonment contract identical to
-// the stream it wraps: a consumer that cancels ctx and walks away
-// (instead of draining to close) releases the reordering goroutine —
-// use the same context the stream runs under.
-//
-// An ordered stream is what makes a stream position meaningful across
-// process boundaries: "the first n lines" of an ordered NDJSON
-// response is exactly "the first n requests of the scenario", which
-// is the contract the /v1/stream resume field and StreamCheckpoint
-// are built on.
-func OrderedResults(ctx context.Context, ch <-chan Result, next int) <-chan Result {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	out := make(chan Result)
-	go reorderResults(ctx, ch, out, next, 0, nil)
-	return out
 }
 
 // ReduceCheckpointed drains an index-ordered result stream (a
