@@ -22,17 +22,27 @@ import (
 // JSON so the checkpoint also survives crossing process and host
 // boundaries.
 //
-// The shapes, by layer:
+// The forms, by layer:
 //
 //   - SweepCheckpoint: one sweep-best walk (Session.SweepBestCheckpointed,
 //     cmd/explore -checkpoint).
+//   - SearchCheckpoint: one adaptive search walk, planner included
+//     (Session.SearchBestCheckpointed, cmd/explore -mode search
+//     -checkpoint).
 //   - StreamCheckpoint: a scenario result stream reduced through the
 //     online aggregators (ReduceCheckpointed over a StreamOrdered
 //     stream; /v1/stream's "resume" field replays delivery from its
 //     Next index).
-//   - CoordinatorCheckpoint: per-shard progress of a distributed run
+//   - FleetStreamCheckpoint: a fleet-striped stream — the merged
+//     stream checkpoint plus one cursor per shard
+//     (fleet.Coordinator.StreamCheckpointed, cmd/explore -mode stream
+//     -checkpoint).
+//   - CoordinatorCheckpoint: per-shard progress of a distributed sweep
 //     (fleet.Coordinator.SweepBestCheckpointed) — a restarted
 //     coordinator re-dispatches only the shards that had not drained.
+//
+// SaveCheckpointFile writes any of them and LoadCheckpointFile reads
+// any of them back.
 
 // SweepCursor is the serializable resume point of a sweep walk: the
 // next grid candidate plus generation accounting (re-exported from the
@@ -157,12 +167,12 @@ func (c *StreamCheckpoint) aggregators() []StreamAggregator {
 }
 
 // FleetStreamCheckpoint records the progress of a fleet-striped
-// scenario stream (fleet.StreamCoordinator): the merged consumer-side
-// stream checkpoint plus one delivery cursor per stream shard. The
-// per-shard cursors ride the existing StreamCheckpoint form — each is
-// exactly the checkpoint a single-backend consumer of that shard's
-// scenario would carry — so a resumed coordinator re-opens every
-// shard stream at its cursor and re-evaluates nothing of the
+// scenario stream (fleet.Coordinator.StreamCheckpointed): the merged
+// consumer-side stream checkpoint plus one delivery cursor per stream
+// shard. The per-shard cursors ride the existing StreamCheckpoint form
+// — each is exactly the checkpoint a single-backend consumer of that
+// shard's scenario would carry — so a resumed coordinator re-opens
+// every shard stream at its cursor and re-evaluates nothing of the
 // delivered prefix.
 type FleetStreamCheckpoint struct {
 	// Merged is the checkpoint of the interleaved output stream:
@@ -292,60 +302,13 @@ func SaveCheckpointFile(path string, cp any) error {
 	return nil
 }
 
-// LoadSweepCheckpointFile reads and strictly decodes a sweep-walk
-// checkpoint. A missing file returns an error satisfying
-// errors.Is(err, os.ErrNotExist) — the caller's cue to start fresh.
-func LoadSweepCheckpointFile(path string) (*SweepCheckpoint, error) {
-	cp := new(SweepCheckpoint)
-	if err := loadCheckpointFile(path, cp); err != nil {
-		return nil, err
-	}
-	return cp, nil
-}
-
-// LoadSearchCheckpointFile reads and strictly decodes an adaptive
-// search checkpoint; missing files report os.ErrNotExist.
-func LoadSearchCheckpointFile(path string) (*SearchCheckpoint, error) {
-	cp := new(SearchCheckpoint)
-	if err := loadCheckpointFile(path, cp); err != nil {
-		return nil, err
-	}
-	return cp, nil
-}
-
-// LoadStreamCheckpointFile reads and strictly decodes a stream
-// checkpoint; missing files report os.ErrNotExist.
-func LoadStreamCheckpointFile(path string) (*StreamCheckpoint, error) {
-	cp := new(StreamCheckpoint)
-	if err := loadCheckpointFile(path, cp); err != nil {
-		return nil, err
-	}
-	return cp, nil
-}
-
-// LoadFleetStreamCheckpointFile reads and strictly decodes a fleet
-// stream checkpoint; missing files report os.ErrNotExist.
-func LoadFleetStreamCheckpointFile(path string) (*FleetStreamCheckpoint, error) {
-	cp := new(FleetStreamCheckpoint)
-	if err := loadCheckpointFile(path, cp); err != nil {
-		return nil, err
-	}
-	return cp, nil
-}
-
-// LoadCoordinatorCheckpointFile reads and strictly decodes a
-// coordinator checkpoint; missing files report os.ErrNotExist.
-func LoadCoordinatorCheckpointFile(path string) (*CoordinatorCheckpoint, error) {
-	cp := new(CoordinatorCheckpoint)
-	if err := loadCheckpointFile(path, cp); err != nil {
-		return nil, err
-	}
-	return cp, nil
-}
-
-// loadCheckpointFile reads path into cp through the strict wire
-// decoders.
-func loadCheckpointFile(path string, cp any) error {
+// LoadCheckpointFile reads the checkpoint file at path into cp — any
+// of the five checkpoint forms — through that form's strict wire
+// decoder, so a file of another form or version fails loudly. It is
+// the inverse of SaveCheckpointFile. A missing file returns an error
+// satisfying errors.Is(err, os.ErrNotExist): the caller's cue to start
+// fresh.
+func LoadCheckpointFile(path string, cp json.Unmarshaler) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err

@@ -328,7 +328,7 @@ func TestSweepFingerprint(t *testing.T) {
 func TestSaveLoadCheckpointFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cp.json")
-	if _, err := actuary.LoadSweepCheckpointFile(path); !errors.Is(err, os.ErrNotExist) {
+	if err := actuary.LoadCheckpointFile(path, new(actuary.SweepCheckpoint)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing file: %v, want os.ErrNotExist", err)
 	}
 	cp := &actuary.SweepCheckpoint{
@@ -339,8 +339,8 @@ func TestSaveLoadCheckpointFile(t *testing.T) {
 	if err := actuary.SaveCheckpointFile(path, cp); err != nil {
 		t.Fatal(err)
 	}
-	back, err := actuary.LoadSweepCheckpointFile(path)
-	if err != nil {
+	back := new(actuary.SweepCheckpoint)
+	if err := actuary.LoadCheckpointFile(path, back); err != nil {
 		t.Fatal(err)
 	}
 	if mustJSON(t, back) != mustJSON(t, cp) {
@@ -358,7 +358,7 @@ func TestSaveLoadCheckpointFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"version":1`), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := actuary.LoadSweepCheckpointFile(path); err == nil || errors.Is(err, os.ErrNotExist) {
+	if err := actuary.LoadCheckpointFile(path, new(actuary.SweepCheckpoint)); err == nil || errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("corrupt file: %v, want a decode error", err)
 	}
 }
@@ -744,21 +744,63 @@ func TestFleetStreamCheckpointValidate(t *testing.T) {
 	}
 }
 
-func TestLoadFleetStreamCheckpointFile(t *testing.T) {
+// TestFleetStreamCheckpointFileRoundTrip: a fleet stream checkpoint
+// survives SaveCheckpointFile → LoadCheckpointFile unchanged, and a
+// missing file reports os.ErrNotExist.
+func TestFleetStreamCheckpointFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "fleet.json")
 	cp := fleetStreamTestCheckpoint()
 	if err := actuary.SaveCheckpointFile(path, cp); err != nil {
 		t.Fatal(err)
 	}
-	back, err := actuary.LoadFleetStreamCheckpointFile(path)
-	if err != nil {
+	back := new(actuary.FleetStreamCheckpoint)
+	if err := actuary.LoadCheckpointFile(path, back); err != nil {
 		t.Fatal(err)
 	}
 	if mustJSON(t, back) != mustJSON(t, cp) {
 		t.Fatal("file round trip drifted")
 	}
-	if _, err := actuary.LoadFleetStreamCheckpointFile(filepath.Join(dir, "absent.json")); !errors.Is(err, os.ErrNotExist) {
+	if err := actuary.LoadCheckpointFile(filepath.Join(dir, "absent.json"), new(actuary.FleetStreamCheckpoint)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing file: %v", err)
+	}
+}
+
+// checkpointForms maps each testdata/checkpoint fixture to a fresh
+// value of the form it holds.
+var checkpointForms = map[string]func() json.Unmarshaler{
+	"sweep.json":        func() json.Unmarshaler { return new(actuary.SweepCheckpoint) },
+	"search.json":       func() json.Unmarshaler { return new(actuary.SearchCheckpoint) },
+	"stream.json":       func() json.Unmarshaler { return new(actuary.StreamCheckpoint) },
+	"fleet-stream.json": func() json.Unmarshaler { return new(actuary.FleetStreamCheckpoint) },
+	"coordinator.json":  func() json.Unmarshaler { return new(actuary.CoordinatorCheckpoint) },
+}
+
+// TestCheckpointFixturesReencode pins the v1 wire bytes of all five
+// checkpoint forms: each fixture — a mid-run checkpoint written by
+// SaveCheckpointFile from a real run — loads through LoadCheckpointFile
+// and re-encodes to exactly the bytes on disk, and no fixture loads as
+// any other form.
+func TestCheckpointFixturesReencode(t *testing.T) {
+	for name, form := range checkpointForms {
+		path := filepath.Join("testdata", "checkpoint", name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp := form()
+		if err := actuary.LoadCheckpointFile(path, cp); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if again := mustJSON(t, cp) + "\n"; again != string(data) {
+			t.Errorf("%s: re-encoding drifted from the fixture:\n got %s\nwant %s", name, again, data)
+		}
+		for other, otherForm := range checkpointForms {
+			if other != name {
+				if err := actuary.LoadCheckpointFile(path, otherForm()); err == nil {
+					t.Errorf("%s loaded as the %s form", name, other)
+				}
+			}
+		}
 	}
 }

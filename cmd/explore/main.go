@@ -77,16 +77,17 @@
 // or -fleet the scenario is striped across the listed backends and
 // the per-shard streams are merged back in order, byte-identical to
 // the single-backend stream; -fleet adds health probing, stealing and
-// speculation, and with -checkpoint the merged stream is durable — a
-// killed run resumes at the exact result the saved cursor names,
-// re-evaluating nothing that was already delivered. In stream mode
-// -checkpoint-every counts merged results between saves, not grid
+// speculation. With either, -checkpoint makes the merged stream
+// durable — a killed run resumes at the exact result the saved cursor
+// names, re-evaluating nothing that was already delivered. In stream
+// mode -checkpoint-every counts merged results between saves, not grid
 // candidates.
 package main
 
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -141,7 +142,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fleetProbeEvery := fs.Duration("fleet-probe-every", 500*time.Millisecond, "sweep: fleet health-probe interval")
 	fleetProbeTimeout := fs.Duration("fleet-probe-timeout", time.Second, "sweep: per-probe timeout before a backend counts as failed")
 	shards := fs.Int("shards", 0, "sweep: how many shards to split the grid into (default: one per backend; fleet over-partitions)")
-	checkpoint := fs.String("checkpoint", "", "sweep/search: checkpoint file — written during the run, auto-resumed when present, removed on success")
+	checkpoint := fs.String("checkpoint", "", "sweep/search/stream: checkpoint file — written during the run, auto-resumed when present, removed on success (stream: with -backends or -fleet only)")
 	checkpointEvery := fs.Int("checkpoint-every", 2000, "sweep/search: grid candidates between checkpoint writes (local runs; distributed sweeps checkpoint per shard); stream: merged results between saves")
 	budget := fs.Int("budget", 0, "search: maximum candidates to evaluate (0 = unlimited)")
 	refine := fs.String("refine", "", "search: coarse-to-fine refinement factor[:knees], e.g. 4 or 4:2")
@@ -229,10 +230,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		if *mode == "stream" {
 			// A checkpointed stream resumes through the fleet
-			// coordinator's cursor machinery; the other paths have no
+			// coordinator's cursor machinery; the in-process path has no
 			// per-result durability to offer.
-			if *checkpoint != "" && *fleetList == "" {
-				return fmt.Errorf("-checkpoint in stream mode requires -fleet")
+			if *checkpoint != "" && *fleetList == "" && *backends == "" {
+				return fmt.Errorf("-checkpoint in stream mode requires -backends or -fleet")
 			}
 			return runStream(ctx, out, f)
 		}
@@ -445,16 +446,39 @@ func runSweep(ctx context.Context, out io.Writer, f sweepFlags) error {
 	if err := printSweepBest(out, b); err != nil {
 		return err
 	}
-	if f.checkpoint != "" {
-		// Remove only after the answer is safely out: a kill (or a
-		// broken pipe) between computing and printing must leave the
-		// checkpoint behind, so the re-run resumes from the last
-		// snapshot instead of re-walking the whole sweep. A stale file
-		// would otherwise make the next run of a different sweep fail
-		// its fingerprint check.
-		if err := os.Remove(f.checkpoint); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("removing completed checkpoint: %w", err)
+	return removeCheckpoint(f.checkpoint)
+}
+
+// resumeFrom loads the checkpoint file at path, announcing the resume
+// on stderr with describe's summary of it. A missing file is a fresh
+// start: nil, no error.
+func resumeFrom[T any, P interface {
+	*T
+	json.Unmarshaler
+}](path string, describe func(P) string) (P, error) {
+	cp := P(new(T))
+	if err := actuary.LoadCheckpointFile(path, cp); err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return nil, nil
 		}
+		return nil, err
+	}
+	fmt.Fprintf(os.Stderr, "explore: resuming from checkpoint %s (%s)\n", path, describe(cp))
+	return cp, nil
+}
+
+// removeCheckpoint deletes a completed run's checkpoint file (a no-op
+// without -checkpoint). Callers remove only after the answer is safely
+// out: a kill (or a broken pipe) between computing and printing must
+// leave the checkpoint behind, so the re-run resumes from the last
+// snapshot instead of starting over. A stale file would otherwise make
+// the next run of a different workload fail its fingerprint check.
+func removeCheckpoint(path string) error {
+	if path == "" {
+		return nil
+	}
+	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("removing completed checkpoint: %w", err)
 	}
 	return nil
 }
@@ -579,13 +603,10 @@ func runSearch(ctx context.Context, out io.Writer, f sweepFlags) error {
 		res := s.Evaluate(ctx, []actuary.Request{req})[0]
 		b, err = res.SearchBest, res.Err
 	} else {
-		var resume *actuary.SearchCheckpoint
-		switch cp, loadErr := actuary.LoadSearchCheckpointFile(f.checkpoint); {
-		case loadErr == nil:
-			resume = cp
-			fmt.Fprintf(os.Stderr, "explore: resuming from checkpoint %s (stage %d, candidate %d)\n",
-				f.checkpoint, cp.Planner.StageIndex(), cp.Cursor.Candidate)
-		case !errors.Is(loadErr, os.ErrNotExist):
+		resume, loadErr := resumeFrom(f.checkpoint, func(cp *actuary.SearchCheckpoint) string {
+			return fmt.Sprintf("stage %d, candidate %d", cp.Planner.StageIndex(), cp.Cursor.Candidate)
+		})
+		if loadErr != nil {
 			return loadErr
 		}
 		b, err = s.SearchBestCheckpointed(ctx, req, resume, f.checkpointEvery,
@@ -600,14 +621,7 @@ func runSearch(ctx context.Context, out io.Writer, f sweepFlags) error {
 		return err
 	}
 	printSearchStats(b.Stats)
-	if f.checkpoint != "" {
-		// Remove only after the answer is safely out, exactly as sweep
-		// mode does.
-		if err := os.Remove(f.checkpoint); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("removing completed checkpoint: %w", err)
-		}
-	}
-	return nil
+	return removeCheckpoint(f.checkpoint)
 }
 
 // printSearchBest renders a search-best answer's top table.
@@ -650,13 +664,10 @@ func runCheckpointed(ctx context.Context, f sweepFlags, cfg actuary.ScenarioConf
 		return nil, err
 	}
 	req := reqs[0]
-	var resume *actuary.SweepCheckpoint
-	switch cp, err := actuary.LoadSweepCheckpointFile(f.checkpoint); {
-	case err == nil:
-		resume = cp
-		fmt.Fprintf(os.Stderr, "explore: resuming from checkpoint %s (candidate %d, %d feasible points so far)\n",
-			f.checkpoint, cp.Cursor.Candidate, cp.Summary.Count)
-	case !errors.Is(err, os.ErrNotExist):
+	resume, err := resumeFrom(f.checkpoint, func(cp *actuary.SweepCheckpoint) string {
+		return fmt.Sprintf("candidate %d, %d feasible points so far", cp.Cursor.Candidate, cp.Summary.Count)
+	})
+	if err != nil {
 		return nil, err
 	}
 	s, err := actuary.NewSession()
@@ -767,13 +778,10 @@ func runFleet(ctx context.Context, f sweepFlags, cfg actuary.ScenarioConfig) (*a
 	if f.checkpoint == "" {
 		best, err = coord.SweepBestScenario(ctx, cfg)
 	} else {
-		var resume *actuary.CoordinatorCheckpoint
-		switch cp, loadErr := actuary.LoadCoordinatorCheckpointFile(f.checkpoint); {
-		case loadErr == nil:
-			resume = cp
-			fmt.Fprintf(os.Stderr, "explore: resuming from checkpoint %s (%d of %d shards drained)\n",
-				f.checkpoint, len(cp.Completed), cp.Shards)
-		case !errors.Is(loadErr, os.ErrNotExist):
+		resume, loadErr := resumeFrom(f.checkpoint, func(cp *actuary.CoordinatorCheckpoint) string {
+			return fmt.Sprintf("%d of %d shards drained", len(cp.Completed), cp.Shards)
+		})
+		if loadErr != nil {
 			return nil, loadErr
 		}
 		best, err = coord.SweepBestScenarioCheckpointed(ctx, cfg, resume,
@@ -807,9 +815,9 @@ func printFleetStats(st fleet.Stats) {
 // stdout — the same wire form /v1/stream serves, one canonical JSON
 // line per result in request order — instead of aggregating. Without
 // backends the stream is evaluated in-process; with -backends or
-// -fleet it is striped across the listed backends by the fleet's
-// striped-stream coordinator (-fleet optionally durable via
-// -checkpoint). Every path emits byte-identical output.
+// -fleet it is striped across the listed backends by the fleet
+// coordinator (optionally durable via -checkpoint). Every path emits
+// byte-identical output.
 func runStream(ctx context.Context, out io.Writer, f sweepFlags) error {
 	sc, err := buildSweepConfig(f, "stream")
 	if err != nil {
@@ -876,7 +884,7 @@ func runFleetStream(ctx context.Context, f sweepFlags, cfg actuary.ScenarioConfi
 		return err
 	}
 	defer stop()
-	coord, err := fleet.NewStream(reg, opts...)
+	coord, err := fleet.New(reg, opts...)
 	if err != nil {
 		return err
 	}
@@ -891,14 +899,11 @@ func runFleetStream(ctx context.Context, f sweepFlags, cfg actuary.ScenarioConfi
 		return err
 	}
 
-	var resume *actuary.FleetStreamCheckpoint
-	switch cp, loadErr := actuary.LoadFleetStreamCheckpointFile(f.checkpoint); {
-	case loadErr == nil:
-		resume = cp
-		fmt.Fprintf(os.Stderr, "explore: resuming from checkpoint %s (%d results delivered across %d shards)\n",
-			f.checkpoint, cp.Merged.Next, cp.Shards)
-	case !errors.Is(loadErr, os.ErrNotExist):
-		return loadErr
+	resume, err := resumeFrom(f.checkpoint, func(cp *actuary.FleetStreamCheckpoint) string {
+		return fmt.Sprintf("%d results delivered across %d shards", cp.Merged.Next, cp.Shards)
+	})
+	if err != nil {
+		return err
 	}
 	save := func(cp *actuary.FleetStreamCheckpoint) error {
 		// Flush before persisting the cursor: everything the
@@ -918,11 +923,7 @@ func runFleetStream(ctx context.Context, f sweepFlags, cfg actuary.ScenarioConfi
 	if err != nil {
 		return err
 	}
-	// Remove only after the stream is safely out (see runSweep).
-	if err := os.Remove(f.checkpoint); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("removing completed checkpoint: %w", err)
-	}
-	return nil
+	return removeCheckpoint(f.checkpoint)
 }
 
 // printSweepBest renders a sweep-best answer — local or merged from

@@ -279,8 +279,8 @@ func TestSweepModeBackendsCheckpoint(t *testing.T) {
 	if err := run(context.Background(), args("-backends", "local,local", "-checkpoint", cp), failingWriter{}); err == nil {
 		t.Fatal("sweep printing to a broken stdout succeeded")
 	}
-	saved, err := actuary.LoadCoordinatorCheckpointFile(cp)
-	if err != nil {
+	saved := new(actuary.CoordinatorCheckpoint)
+	if err := actuary.LoadCheckpointFile(cp, saved); err != nil {
 		t.Fatal(err)
 	}
 	if saved.Shards != 2 || len(saved.Completed) != 2 {
@@ -289,7 +289,7 @@ func TestSweepModeBackendsCheckpoint(t *testing.T) {
 
 	// Another shard count does not match the saved partition.
 	var buf bytes.Buffer
-	err = run(context.Background(), args("-backends", "local,local", "-shards", "3", "-checkpoint", cp), &buf)
+	err := run(context.Background(), args("-backends", "local,local", "-shards", "3", "-checkpoint", cp), &buf)
 	if !errors.Is(err, actuary.ErrCheckpointMismatch) {
 		t.Fatalf("resume with -shards 3: %v, want ErrCheckpointMismatch", err)
 	}
@@ -305,5 +305,78 @@ func TestSweepModeBackendsCheckpoint(t *testing.T) {
 	}
 	if _, err := os.Stat(cp); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("checkpoint file not removed after success: %v", err)
+	}
+}
+
+// errStdoutClosed is what a brokenWriter's stdout fails with.
+var errStdoutClosed = errors.New("stdout closed")
+
+// brokenWriter accepts `limit` bytes, then fails every write: a stdout
+// that breaks partway through a run.
+type brokenWriter struct {
+	bytes.Buffer
+	limit int
+}
+
+func (w *brokenWriter) Write(p []byte) (int, error) {
+	room := w.limit - w.Len()
+	if room >= len(p) {
+		return w.Buffer.Write(p)
+	}
+	n, _ := w.Buffer.Write(p[:max(room, 0)])
+	return n, errStdoutClosed
+}
+
+// TestStreamModeBackendsCheckpoint pins the checkpoint contract of a
+// -backends stream: a run whose stdout breaks midway leaves a
+// FleetStreamCheckpoint striped one shard per backend, and a rerun
+// delivers exactly the tail that checkpoint has not claimed, so the
+// claimed prefix plus the tail is the in-process stream.
+func TestStreamModeBackendsCheckpoint(t *testing.T) {
+	args := func(extra ...string) []string {
+		return append([]string{"-mode", "stream", "-questions", "total-cost",
+			"-nodes", "5nm,7nm", "-schemes", "MCM,2.5D",
+			"-area-range", "200:600:100", "-count-range", "1:4"}, extra...)
+	}
+	var single bytes.Buffer
+	if err := run(context.Background(), args(), &single); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(single.String(), "\n")
+	lines = lines[:len(lines)-1] // the empty string after the last newline
+	cp := t.TempDir() + "/stream.ckpt"
+
+	broken := &brokenWriter{limit: single.Len() / 2}
+	err := run(context.Background(), args("-backends", "local,local", "-checkpoint", cp, "-checkpoint-every", "7"), broken)
+	if !errors.Is(err, errStdoutClosed) {
+		t.Fatalf("stream to a broken stdout returned %v, want the write error", err)
+	}
+	saved := new(actuary.FleetStreamCheckpoint)
+	if err := actuary.LoadCheckpointFile(cp, saved); err != nil {
+		t.Fatal(err)
+	}
+	claimed := saved.Merged.Next
+	if saved.Shards != 2 || claimed == 0 || claimed >= len(lines) {
+		t.Fatalf("checkpoint stripes %d shards with %d of %d results delivered; want 2 shards, a proper prefix",
+			saved.Shards, claimed, len(lines))
+	}
+	prefix := strings.Join(lines[:claimed], "")
+	if !strings.HasPrefix(broken.String(), prefix) {
+		t.Fatalf("checkpoint claims %d results the broken stdout never received", claimed)
+	}
+
+	var resumed bytes.Buffer
+	if err := run(context.Background(), args("-backends", "local,local", "-checkpoint", cp, "-checkpoint-every", "7"), &resumed); err != nil {
+		t.Fatal(err)
+	}
+	if got := prefix + resumed.String(); got != single.String() {
+		t.Errorf("claimed prefix + resumed tail diverged from the in-process stream:\n--- single\n%s--- combined\n%s", single.String(), got)
+	}
+	if _, err := os.Stat(cp); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("checkpoint file not removed after success: %v", err)
+	}
+	// The in-process stream has no cursor to checkpoint.
+	if err := run(context.Background(), args("-checkpoint", cp), &bytes.Buffer{}); err == nil {
+		t.Error("-checkpoint without -backends or -fleet accepted in stream mode")
 	}
 }

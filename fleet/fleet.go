@@ -11,17 +11,19 @@ import (
 	"chipletactuary/client"
 )
 
-// DefaultOverPartition is the default ratio of shards to backends.
-// Over-partitioning is what makes stealing and speculation cheap: a
-// dead backend forfeits one small shard, not a full stripe of the
-// sweep, and the last in-flight shards are small enough to re-execute
-// speculatively.
+// DefaultOverPartition is the ratio of shards to backends when
+// WithShards does not pin the count. Over-partitioning is what makes
+// stealing and speculation cheap: a dead backend forfeits one small
+// shard, not a full stripe of the run, and the last in-flight shards
+// are small enough to re-execute speculatively.
 const DefaultOverPartition = 4
 
 // Event is one scheduling occurrence worth surfacing: a backend
 // marked down or up, a shard stolen or speculatively re-executed, a
-// duplicate result discarded, a backend joining mid-sweep, a worker
-// pool resized. Backend is the member name ("" for run-level events).
+// duplicate result discarded, a backend joining mid-run ("joined
+// mid-sweep" or "joined mid-stream"), a stream execution yielded to
+// the head shard, a worker pool resized. Backend is the member name
+// ("" for run-level events).
 type Event struct {
 	Backend string
 	Kind    string // "mark-down", "mark-up", "join", "steal", "speculate", "duplicate", "resize", "yield"
@@ -41,7 +43,7 @@ type BackendStats struct {
 
 // Stats summarizes the most recent run's scheduling behavior.
 type Stats struct {
-	Shards       int // total shards in the sweep
+	Shards       int // total shards in the run
 	Requeues     int // transport failures that put a shard back in the pool
 	Speculations int
 	Steals       int
@@ -52,23 +54,12 @@ type Stats struct {
 // Option configures a Coordinator.
 type Option func(*Coordinator) error
 
-// WithShards pins the shard count, overriding over-partitioning.
-// Values below 1 restore the default.
+// WithShards pins the shard count, overriding over-partitioning
+// (DefaultOverPartition shards per live backend). Values below 1
+// restore the default.
 func WithShards(n int) Option {
 	return func(c *Coordinator) error {
 		c.shards = n
-		return nil
-	}
-}
-
-// WithOverPartition sets the shards-per-backend ratio used when
-// WithShards does not pin the count. Default DefaultOverPartition.
-func WithOverPartition(factor int) Option {
-	return func(c *Coordinator) error {
-		if factor < 1 {
-			return fmt.Errorf("fleet: over-partition factor %d below 1", factor)
-		}
-		c.factor = factor
 		return nil
 	}
 }
@@ -104,20 +95,6 @@ func WithEvents(f func(Event)) Option {
 	}
 }
 
-// WithStreamWindow sets the per-shard result buffer of striped
-// streams (see StreamCoordinator): how far a shard's stream may run
-// ahead of the merge point before its execution blocks. Default
-// DefaultStreamWindow.
-func WithStreamWindow(n int) Option {
-	return func(c *Coordinator) error {
-		if n < 1 {
-			return fmt.Errorf("fleet: stream window %d below 1", n)
-		}
-		c.window = n
-		return nil
-	}
-}
-
 // WithStreamTopK sets the top-K bound of the merged aggregators a
 // striped stream carries in its FleetStreamCheckpoint. Default
 // DefaultStreamTopK.
@@ -131,19 +108,21 @@ func WithStreamTopK(k int) Option {
 	}
 }
 
-// Coordinator fans sweep-best questions across a registry of
-// backends with health-aware, work-stealing scheduling. Membership is
-// read live from the registry: backends added mid-run join the run,
-// removed backends stop receiving work. Safe for concurrent use;
-// Stats reports on the most recently finished run.
+// Coordinator fans work across a registry of backends with
+// health-aware, work-stealing scheduling. It runs two kinds of job
+// over one shard-run engine: SweepBest shards a sweep-best question
+// and merges the per-shard aggregates, and Stream stripes a streamed
+// scenario and interleaves the per-shard result streams back into
+// single-backend order. Membership is read live from the registry:
+// backends added mid-run join the run, removed backends stop receiving
+// work. Safe for concurrent use; Stats reports on the most recently
+// finished run of either kind.
 type Coordinator struct {
 	reg        *Registry
 	monitor    *Monitor
 	shards     int
-	factor     int
 	speculate  bool
 	onEvent    func(Event)
-	window     int // per-shard stream buffer (striped streams only)
 	streamTopK int // merged aggregator bound (striped streams only)
 
 	mu   sync.Mutex
@@ -151,18 +130,12 @@ type Coordinator struct {
 }
 
 // New builds a Coordinator over the registry. The registry may still
-// be empty — backends must have joined by the time a sweep starts.
+// be empty — backends must have joined by the time a run starts.
 func New(reg *Registry, opts ...Option) (*Coordinator, error) {
 	if reg == nil {
 		return nil, fmt.Errorf("fleet: coordinator needs a registry")
 	}
-	c := &Coordinator{
-		reg:        reg,
-		factor:     DefaultOverPartition,
-		speculate:  true,
-		window:     DefaultStreamWindow,
-		streamTopK: DefaultStreamTopK,
-	}
+	c := &Coordinator{reg: reg, speculate: true, streamTopK: DefaultStreamTopK}
 	for _, opt := range opts {
 		if err := opt(c); err != nil {
 			return nil, err
@@ -172,7 +145,7 @@ func New(reg *Registry, opts ...Option) (*Coordinator, error) {
 }
 
 // Stats reports the scheduling stats of the most recently completed
-// sweep (successful or failed).
+// run (successful or failed).
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -185,6 +158,150 @@ func (c *Coordinator) emit(ev Event) {
 	if c.onEvent != nil {
 		c.onEvent(ev)
 	}
+}
+
+// shardCount sizes a run: the WithShards count when pinned, else
+// DefaultOverPartition shards per live backend. An empty registry has
+// no one to run anything.
+func (c *Coordinator) shardCount() (int, error) {
+	if c.reg.Len() == 0 {
+		return 0, fmt.Errorf("fleet: registry has no live backends")
+	}
+	if c.shards > 0 {
+		return c.shards, nil
+	}
+	return DefaultOverPartition * c.reg.Len(), nil
+}
+
+// runShards starts the run machinery every fleet run shares: a
+// scheduler over n shards (shards drained by a resumed run count as
+// done up front) wired to the monitor, perMember() workers on every
+// live member — and on every member that joins mid-run, announced as
+// "joined mid-"+what — a registry watcher and a watcher on ctx.
+//
+// Each worker loops next → exec → win → commit → complete. exec runs
+// one execution of a shard on one backend; the commit it returns (nil
+// for none) runs only for the execution that wins the shard, and a
+// commit error fails the run. A failed execution that was yielded or
+// lost to a rival is dropped; otherwise a retryable failure requeues
+// the shard and any other fails the run.
+//
+// The caller decides when the run is over — a sweep awaits the
+// scheduler, a stream its interleaver — and then calls stop, which
+// cancels the run, waits for every goroutine started here and records
+// the run's Stats.
+func (c *Coordinator) runShards(ctx context.Context, n int, drained func(int) bool, perMember func() int, what string,
+	exec func(execCtx context.Context, b client.Backend, shard int) (commit func() error, err error)) (*scheduler, func()) {
+	runCtx, cancelRun := context.WithCancel(ctx)
+	sched := newScheduler(runCtx, n, drained, c.reg.liveIDs)
+	sched.stop = cancelRun
+	sched.speculate = c.speculate
+	sched.onEvent = c.onEvent
+	removeListener := func() {}
+	if c.monitor != nil {
+		sched.healthy = c.monitor.up
+		sched.weight = c.monitor.weight
+		// Mark-ups and mark-downs re-dispatch parked workers.
+		removeListener = c.monitor.addListener(sched.cond.Broadcast)
+	}
+
+	var wg sync.WaitGroup
+	worker := func(mem *member) {
+		defer wg.Done()
+		for !mem.removed.Load() {
+			t, execCtx, cancel, ok := sched.next(mem.id, mem.name, mem.removed.Load)
+			if !ok {
+				return
+			}
+			commit, err := exec(execCtx, mem.backend, t.index)
+			cancel()
+			if err == nil {
+				if !sched.win(t, mem.id, mem.name) {
+					continue // a rival won the race; discard the duplicate
+				}
+				if commit != nil {
+					if err := commit(); err != nil {
+						sched.fail(err)
+						return
+					}
+				}
+				sched.complete()
+				continue
+			}
+			// A yield is rescheduling, and an execution canceled because a
+			// rival won is an artifact of the race: neither is a backend
+			// failure.
+			if sched.consumeYield(t, mem.id) || sched.taskDone(t) {
+				continue
+			}
+			if retryable(err) {
+				sched.requeue(t, mem.id, err)
+			} else {
+				sched.fail(err)
+			}
+		}
+	}
+
+	// Spawn workers per live member, then watch the registry: a
+	// late-joining backend gets workers mid-run, a removal triggers an
+	// exhaustion recheck and wakes the departing backend's workers.
+	started := make(map[int]bool)
+	var startMu sync.Mutex
+	spawn := func(announce bool) {
+		startMu.Lock()
+		defer startMu.Unlock()
+		for _, mem := range c.reg.live() {
+			if started[mem.id] {
+				continue
+			}
+			started[mem.id] = true
+			for w := perMember(); w > 0; w-- {
+				wg.Add(1)
+				go worker(mem)
+			}
+			if announce {
+				c.emit(Event{Backend: mem.name, Kind: "join", Detail: "joined mid-" + what})
+			}
+		}
+	}
+	spawn(false)
+
+	updates, unsubscribe := c.reg.subscribe()
+	stopWatch := make(chan struct{})
+	var watchWG sync.WaitGroup
+	watchWG.Add(2)
+	go func() {
+		defer watchWG.Done()
+		for {
+			select {
+			case <-stopWatch:
+				return
+			case <-updates:
+				spawn(true)
+				sched.recheck()
+			}
+		}
+	}()
+	// A canceled caller context must unblock workers parked in next().
+	go func() {
+		defer watchWG.Done()
+		select {
+		case <-ctx.Done():
+			sched.fail(ctx.Err())
+		case <-stopWatch:
+		}
+	}()
+
+	stop := func() {
+		cancelRun()
+		close(stopWatch)
+		unsubscribe()
+		watchWG.Wait()
+		wg.Wait()
+		removeListener()
+		c.recordStats(sched, n)
+	}
+	return sched, stop
 }
 
 // SweepBest answers one sweep-best request by fanning its grid across
@@ -207,11 +324,12 @@ func (c *Coordinator) SweepBest(ctx context.Context, req actuary.Request) (*actu
 
 // SweepBestCheckpointed is SweepBest with per-shard durability: every
 // shard drain snapshots progress into a CoordinatorCheckpoint handed
-// to save (persist it with actuary.SaveCheckpointFile), and resume
-// merges a prior run's drained shards up front, re-dispatching only
-// the rest. resume must match this workload's
-// fingerprint and this coordinator's shard count. Speculative
-// duplicates never reach the checkpoint — a shard drains exactly once.
+// to save (persist it with actuary.SaveCheckpointFile; a save error
+// fails the run), and resume merges a prior run's drained shards up
+// front, re-dispatching only the rest. resume must match this
+// workload's fingerprint and this coordinator's shard count.
+// Speculative duplicates never reach the checkpoint — a shard drains
+// exactly once.
 func (c *Coordinator) SweepBestCheckpointed(ctx context.Context, req actuary.Request, resume *actuary.CoordinatorCheckpoint, save func(*actuary.CoordinatorCheckpoint) error) (*actuary.SweepBest, error) {
 	if req.Question == 0 {
 		req.Question = actuary.QuestionSweepBest
@@ -232,17 +350,12 @@ func (c *Coordinator) SweepBestCheckpointed(ctx context.Context, req actuary.Req
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if c.reg.Len() == 0 {
-		return nil, fmt.Errorf("fleet: registry has no live backends")
-	}
-
-	n := c.shards
-	if n < 1 {
-		n = c.factor * c.reg.Len()
+	n, err := c.shardCount()
+	if err != nil {
+		return nil, err
 	}
 	fingerprint := ""
 	if resume != nil || save != nil {
-		var err error
 		if fingerprint, err = actuary.SweepFingerprint(req); err != nil {
 			return nil, err
 		}
@@ -280,126 +393,31 @@ func (c *Coordinator) SweepBestCheckpointed(ctx context.Context, req actuary.Req
 		return cp
 	}
 
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-	sched := newScheduler(runCtx, n, func(i int) bool { _, ok := drained[i]; return ok }, c.reg.liveIDs)
-	sched.stop = cancelRun
-	sched.speculate = c.speculate
-	sched.onEvent = c.onEvent
-	if c.monitor != nil {
-		sched.healthy = c.monitor.up
-		sched.weight = c.monitor.weight
-		// Mark-ups and mark-downs re-dispatch parked workers.
-		removeListener := c.monitor.addListener(sched.cond.Broadcast)
-		defer removeListener()
-	}
-
-	var wg sync.WaitGroup
-	worker := func(mem *member) {
-		defer wg.Done()
-		for {
-			if mem.removed.Load() {
-				return
+	sched, stop := c.runShards(ctx, n, func(i int) bool { _, ok := drained[i]; return ok }, func() int { return 1 }, "sweep",
+		func(execCtx context.Context, b client.Backend, shard int) (func() error, error) {
+			best, err := evaluateShard(execCtx, b, req, shard, n)
+			if err != nil {
+				return nil, err
 			}
-			t, execCtx, cancel, ok := sched.next(mem.id, mem.name, mem.removed.Load)
-			if !ok {
-				return
-			}
-			best, err := evaluateShard(execCtx, mem.backend, req, t.index, n)
-			cancel()
-			if err == nil {
-				if !sched.win(t, mem.id, mem.name) {
-					continue // a rival won the race; discard the duplicate
-				}
+			return func() error {
 				mergeMu.Lock()
+				defer mergeMu.Unlock()
 				merger.Add(best)
-				drained[t.index] = best
-				var saveErr error
-				if save != nil {
-					saveErr = save(checkpoint())
+				drained[shard] = best
+				if save == nil {
+					return nil
 				}
-				mergeMu.Unlock()
-				if saveErr != nil {
-					sched.fail(fmt.Errorf("fleet: saving coordinator checkpoint: %w", saveErr))
-					return
+				if err := save(checkpoint()); err != nil {
+					return fmt.Errorf("fleet: saving coordinator checkpoint: %w", err)
 				}
-				sched.complete()
-				continue
-			}
-			// An execution canceled because a rival won is an artifact of
-			// the race, not a backend failure.
-			if sched.taskDone(t) {
-				continue
-			}
-			if retryable(err) {
-				sched.requeue(t, mem.id, err)
-			} else {
-				sched.fail(err)
-			}
-		}
-	}
-
-	// Spawn a worker per live member, then watch the registry: a
-	// late-joining backend gets a worker mid-run, a removal triggers an
-	// exhaustion recheck and wakes the departing backend's worker.
-	started := make(map[int]bool)
-	var startMu sync.Mutex
-	spawn := func(announce bool) {
-		startMu.Lock()
-		defer startMu.Unlock()
-		for _, mem := range c.reg.live() {
-			if started[mem.id] {
-				continue
-			}
-			started[mem.id] = true
-			wg.Add(1)
-			go worker(mem)
-			if announce {
-				c.emit(Event{Backend: mem.name, Kind: "join", Detail: "joined mid-sweep"})
-			}
-		}
-	}
-	spawn(false)
-
-	updates, unsubscribe := c.reg.subscribe()
-	stopWatch := make(chan struct{})
-	var watchWG sync.WaitGroup
-	watchWG.Add(1)
-	go func() {
-		defer watchWG.Done()
-		for {
-			select {
-			case <-stopWatch:
-				return
-			case <-updates:
-				spawn(true)
-				sched.recheck()
-			}
-		}
-	}()
-
-	// A canceled caller context must unblock workers parked in next().
-	ctxWatch := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			sched.fail(ctx.Err())
-		case <-ctxWatch:
-		}
-	}()
-
+				return nil
+			}, nil
+		})
 	// await — not the worker WaitGroup — decides when the run is over:
 	// workers come and go with registry membership, and a parked worker
 	// of a marked-down backend must not hold up a finished sweep.
 	sched.await()
-	cancelRun()
-	close(stopWatch)
-	unsubscribe()
-	watchWG.Wait()
-	wg.Wait()
-	close(ctxWatch)
-
-	c.recordStats(sched, n)
+	stop()
 	if err := sched.err(); err != nil {
 		return nil, err
 	}

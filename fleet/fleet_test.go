@@ -497,9 +497,6 @@ func TestFleetRejectsBadInputs(t *testing.T) {
 		t.Error("nil registry accepted")
 	}
 	reg := NewRegistry()
-	if _, err := New(reg, WithOverPartition(0)); err == nil {
-		t.Error("zero over-partition factor accepted")
-	}
 	coord, err := New(reg)
 	if err != nil {
 		t.Fatal(err)
@@ -522,5 +519,78 @@ func TestFleetRejectsBadInputs(t *testing.T) {
 		if _, err := coord.SweepBest(context.Background(), req); err == nil {
 			t.Errorf("case %d: bad request accepted", i)
 		}
+	}
+}
+
+// TestFleetCheckpointSaveFailure: a save that fails mid-sweep fails
+// the run with an error wrapping the save error, on the fixed pool and
+// on the speculating fleet alike.
+func TestFleetCheckpointSaveFailure(t *testing.T) {
+	grid := testGrid()
+	req := actuary.Request{Question: actuary.QuestionSweepBest, Grid: &grid, TopK: 3}
+	errDisk := errors.New("disk full")
+	for name, opts := range map[string][]Option{
+		"fixed":       {WithShards(4), WithSpeculation(false)},
+		"speculating": {WithShards(4)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			coord, err := New(localRegistry(t, 2), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var saves atomic.Int32
+			_, err = coord.SweepBestCheckpointed(context.Background(), req, nil,
+				func(*actuary.CoordinatorCheckpoint) error {
+					if saves.Add(1) == 2 {
+						return errDisk
+					}
+					return nil
+				})
+			if !errors.Is(err, errDisk) {
+				t.Fatalf("sweep with a failing save returned %v, want it to wrap %v", err, errDisk)
+			}
+		})
+	}
+}
+
+// TestCoordinatorSweepThenStream: one Coordinator runs a sweep and
+// then a striped stream, and Stats describes each run on its own —
+// the stream's shard count follows the registry it grew into.
+func TestCoordinatorSweepThenStream(t *testing.T) {
+	reg := localRegistry(t, 2)
+	coord, err := New(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := testGrid()
+	req := actuary.Request{Question: actuary.QuestionSweepBest, Grid: &grid, TopK: 3}
+	got, err := coord.SweepBest(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameBest(t, got, singleProcessBest(t, req))
+	// Every sweep shard is won exactly once; a stream shard can also
+	// finish with no winner (empty, or its last execution canceled as
+	// the run ends), so only the sweep pins the won count.
+	st := coord.Stats()
+	won := 0
+	for _, bs := range st.Backends {
+		won += bs.Shards
+	}
+	if want := 2 * DefaultOverPartition; st.Shards != want || won != want {
+		t.Errorf("sweep: Stats().Shards = %d with %d shards won, want %d of each", st.Shards, won, want)
+	}
+
+	if err := reg.Add("third", client.Local(newSession(t))); err != nil {
+		t.Fatal(err)
+	}
+	cfg := streamScenario()
+	ch, err := coord.Stream(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameStream(t, drainStream(t, ch), singleBackendStream(t, cfg))
+	if st, want := coord.Stats(), 3*DefaultOverPartition; st.Shards != want {
+		t.Errorf("stream: Stats().Shards = %d, want %d", st.Shards, want)
 	}
 }

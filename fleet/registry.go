@@ -1,15 +1,17 @@
 // Package fleet fans one design-space sweep (or one streamed
 // scenario) across many evaluation backends — in-process Sessions,
 // remote actuaryd daemons, or a mix — and merges the per-shard answers
-// back into exactly the single-process answer. Beyond a fixed pool
-// (see WithShards and WithSpeculation(false): one shard per backend,
-// a shard moves only after a completed transport failure), it adds
-// the machinery real deployments need:
+// back into exactly the single-process answer. One Coordinator runs
+// both jobs over one shard-run engine: SweepBest merges per-shard
+// aggregates, Stream interleaves per-shard result streams. Beyond a
+// fixed pool (see WithShards and WithSpeculation(false): one shard per
+// backend, a shard moves only after a completed transport failure), it
+// adds the machinery real deployments need:
 //
-//   - a Registry backends can join and leave while a sweep is running,
+//   - a Registry backends can join and leave while a run is going,
 //   - a Monitor that probes each backend's health and load and feeds
 //     mark-down/mark-up decisions and scheduling weights,
-//   - a scheduler that over-partitions the sweep, steals work from
+//   - a scheduler that over-partitions the run, steals work from
 //     slow or dead backends, and speculatively re-executes the last
 //     in-flight shards so one straggler cannot hold the run hostage,
 //   - a Resizer that grows and shrinks an in-process Session's worker
@@ -17,7 +19,7 @@
 //
 // Every shard is merged exactly once (speculative duplicates are
 // discarded at the scheduler, first result wins), so the final answer
-// stays byte-identical to the single-process sweep no matter how many
+// stays byte-identical to the single-process run no matter how many
 // backends raced, died, or joined late. Byte-identity assumes backends
 // computing identical floats (same Go version and CPU architecture);
 // across a heterogeneous fleet, last-ulp cost differences can resolve

@@ -22,60 +22,41 @@ const DefaultStreamWindow = 64
 // carries in its checkpoint.
 const DefaultStreamTopK = 5
 
+// streamWindow is the per-shard buffer striped streams run with. A
+// variable so tests can shrink it.
+var streamWindow = DefaultStreamWindow
+
 // streamRescueTick is how often a blocked interleaver checks that its
 // head shard has a live execution, yielding a leading shard's worker
 // to it when it does not. A variable so tests can tighten it.
 var streamRescueTick = 50 * time.Millisecond
 
-// StreamCoordinator stripes one streamed scenario across a registry
-// of backends. The scenario's own shard machinery does the
-// partitioning (each shard streams the scenario with a distinct
-// shard_index/shard_count), the sweep scheduler drives the shards —
-// health gating, work stealing, capped speculative re-execution,
-// first-result-wins duplicate discard — and an ordered interleaver
-// merges the per-shard streams back into the exact request order of a
-// single-backend run, so merged output is byte-identical to streaming
-// the unsharded scenario from one backend.
+// Stream stripes one streamed scenario across the registry and returns
+// the merged, index-ordered result stream. The scenario's own shard
+// machinery does the partitioning (each shard streams the scenario
+// with a distinct shard_index/shard_count), the shard-run engine
+// drives the shards — health gating, work stealing, capped speculative
+// re-execution, first-result-wins duplicate discard — and an ordered
+// interleaver merges the per-shard streams back into the exact request
+// order of a single-backend run, so merged output is byte-identical to
+// streaming the unsharded scenario from one backend. WithShards sizes
+// the striping as for SweepBest; WithStreamTopK bounds the merged
+// aggregators of StreamCheckpointed.
 //
-// Shard streams resume by index: a shard lost to a dead backend is
-// reopened elsewhere at its current watermark, and a killed
-// coordinator resumes from a FleetStreamCheckpoint without
-// re-evaluating any delivered prefix.
-type StreamCoordinator struct {
-	c *Coordinator
-}
-
-// NewStream builds a StreamCoordinator over the registry. It shares
-// the Coordinator option set: WithShards / WithOverPartition size the
-// striping, WithMonitor / WithSpeculation / WithEvents tune the
-// scheduler, WithStreamWindow / WithStreamTopK tune the merge.
-func NewStream(reg *Registry, opts ...Option) (*StreamCoordinator, error) {
-	c, err := New(reg, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &StreamCoordinator{c: c}, nil
-}
-
-// Stats reports the scheduling stats of the most recently completed
-// striped stream (successful or failed).
-func (s *StreamCoordinator) Stats() Stats { return s.c.Stats() }
-
-// Stream stripes the scenario across the registry and returns the
-// merged, index-ordered result stream. Evaluation failures arrive
-// in-band as Results with Err set, exactly as in a single-backend
-// run; a run-level failure (scheduling exhausted, context canceled)
-// is delivered as a final Result with Index -1 before the channel
-// closes. Cancel ctx to abandon the stream.
+// Evaluation failures arrive in-band as Results with Err set, exactly
+// as in a single-backend run; a run-level failure (scheduling
+// exhausted, context canceled) is delivered as a final Result with
+// Index -1 before the channel closes. Cancel ctx to abandon the
+// stream.
 //
 // The scenario must not carry its own shard spec or resume field —
 // striping derives shard specs itself, and resumption goes through
 // StreamCheckpointed.
-func (s *StreamCoordinator) Stream(ctx context.Context, cfg actuary.ScenarioConfig) (<-chan actuary.Result, error) {
+func (c *Coordinator) Stream(ctx context.Context, cfg actuary.ScenarioConfig) (<-chan actuary.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	n, plan, err := s.plan(cfg)
+	n, plan, err := c.planStream(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +71,7 @@ func (s *StreamCoordinator) Stream(ctx context.Context, cfg actuary.ScenarioConf
 				return ctx.Err()
 			}
 		}
-		_, err := s.run(ctx, cfg, n, plan, nil, 0, nil, deliver)
+		_, err := c.runStream(ctx, cfg, n, plan, nil, 0, nil, deliver)
 		if err != nil && ctx.Err() == nil {
 			select {
 			case out <- actuary.Result{Index: -1, Err: err}:
@@ -102,42 +83,42 @@ func (s *StreamCoordinator) Stream(ctx context.Context, cfg actuary.ScenarioConf
 }
 
 // StreamCheckpointed streams the striped scenario through deliver,
-// checkpointing progress. The checkpoint's global cursor advances
-// only after deliver returns, so on resume no delivered result is
-// ever re-evaluated: each shard's stream reopens at its saved
-// watermark. save (may be nil) runs every `every` delivered results
-// and once more at the end; callers persisting the delivered output
-// should flush it inside save before writing the checkpoint, so the
-// cursor never runs ahead of durable output. resume is a checkpoint
-// from a prior run of the same scenario over the same shard count, or
-// nil to start fresh. The returned checkpoint reflects all delivered
-// progress even on error.
-func (s *StreamCoordinator) StreamCheckpointed(ctx context.Context, cfg actuary.ScenarioConfig, resume *actuary.FleetStreamCheckpoint, every int, save func(*actuary.FleetStreamCheckpoint) error, deliver func(actuary.Result) error) (*actuary.FleetStreamCheckpoint, error) {
+// checkpointing progress. Shard streams resume by index: a shard lost
+// to a dead backend is reopened elsewhere at its current watermark,
+// and a killed coordinator resumes from its FleetStreamCheckpoint. The
+// checkpoint's global cursor advances only after deliver returns, so
+// on resume no delivered result is ever re-evaluated: each shard's
+// stream reopens at its saved watermark. save (may be nil) runs every
+// `every` delivered results and once more at the end; a save error
+// ends the run. Callers persisting the delivered output should flush
+// it inside save before writing the checkpoint, so the cursor never
+// runs ahead of durable output. resume is a checkpoint from a prior
+// run of the same scenario over the same shard count, or nil to start
+// fresh. The returned checkpoint reflects all delivered progress even
+// on error.
+func (c *Coordinator) StreamCheckpointed(ctx context.Context, cfg actuary.ScenarioConfig, resume *actuary.FleetStreamCheckpoint, every int, save func(*actuary.FleetStreamCheckpoint) error, deliver func(actuary.Result) error) (*actuary.FleetStreamCheckpoint, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if deliver == nil {
 		return nil, fmt.Errorf("fleet: StreamCheckpointed needs a deliver callback")
 	}
-	n, plan, err := s.plan(cfg)
+	n, plan, err := c.planStream(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return s.run(ctx, cfg, n, plan, resume, every, save, deliver)
+	return c.runStream(ctx, cfg, n, plan, resume, every, save, deliver)
 }
 
-// plan sizes the striping and compiles the owner plan, rejecting
+// planStream sizes the striping and compiles the owner plan, rejecting
 // scenarios a striped stream cannot reproduce.
-func (s *StreamCoordinator) plan(cfg actuary.ScenarioConfig) (int, *actuary.StreamShardPlan, error) {
+func (c *Coordinator) planStream(cfg actuary.ScenarioConfig) (int, *actuary.StreamShardPlan, error) {
 	if cfg.Resume != nil {
 		return 0, nil, fmt.Errorf("fleet: scenario %q carries its own resume field; resume a striped stream from a FleetStreamCheckpoint instead", cfg.Name)
 	}
-	if s.c.reg.Len() == 0 {
-		return 0, nil, fmt.Errorf("fleet: registry has no live backends")
-	}
-	n := s.c.shards
-	if n < 1 {
-		n = s.c.factor * s.c.reg.Len()
+	n, err := c.shardCount()
+	if err != nil {
+		return 0, nil, err
 	}
 	plan, err := cfg.PlanStreamShards(n)
 	if err != nil {
@@ -337,10 +318,10 @@ func streamShard(execCtx context.Context, b client.Backend, cfg actuary.Scenario
 	return nil
 }
 
-// run is the striped-stream engine shared by Stream and
-// StreamCheckpointed.
-func (s *StreamCoordinator) run(ctx context.Context, cfg actuary.ScenarioConfig, n int, plan *actuary.StreamShardPlan, resume *actuary.FleetStreamCheckpoint, every int, save func(*actuary.FleetStreamCheckpoint) error, deliver func(actuary.Result) error) (*actuary.FleetStreamCheckpoint, error) {
-	c := s.c
+// runStream is the striped-stream run shared by Stream and
+// StreamCheckpointed: per-shard windows fed by the shard-run engine,
+// a rescue loop, and the interleaver.
+func (c *Coordinator) runStream(ctx context.Context, cfg actuary.ScenarioConfig, n int, plan *actuary.StreamShardPlan, resume *actuary.FleetStreamCheckpoint, every int, save func(*actuary.FleetStreamCheckpoint) error, deliver func(actuary.Result) error) (*actuary.FleetStreamCheckpoint, error) {
 	if every < 1 {
 		every = 1
 	}
@@ -413,123 +394,31 @@ func (s *StreamCoordinator) run(ctx context.Context, cfg actuary.ScenarioConfig,
 
 	states := make([]*shardState, n)
 	for i := range states {
-		states[i] = newShardState(c.window, cp.Cursors[i].Next, plan.ShardTotal(i))
-	}
-
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-	drained := func(i int) bool { return cp.Cursors[i].Next >= plan.ShardTotal(i) }
-	sched := newScheduler(runCtx, n, drained, c.reg.liveIDs)
-	sched.stop = cancelRun
-	sched.speculate = c.speculate
-	sched.onEvent = c.onEvent
-	if c.monitor != nil {
-		sched.healthy = c.monitor.up
-		sched.weight = c.monitor.weight
-		removeListener := c.monitor.addListener(sched.cond.Broadcast)
-		defer removeListener()
-	}
-
-	// Run death — failure or completion — reaches every blocked
-	// producer and the interleaver through the shard states.
-	var deadWG sync.WaitGroup
-	deadWG.Add(1)
-	go func() {
-		defer deadWG.Done()
-		<-runCtx.Done()
-		for _, st := range states {
-			st.kill()
-		}
-	}()
-
-	var wg sync.WaitGroup
-	worker := func(mem *member) {
-		defer wg.Done()
-		for {
-			if mem.removed.Load() {
-				return
-			}
-			t, execCtx, cancel, ok := sched.next(mem.id, mem.name, mem.removed.Load)
-			if !ok {
-				return
-			}
-			err := streamShard(execCtx, mem.backend, shardCfg(t.index), states[t.index])
-			cancel()
-			if err == nil {
-				if !sched.win(t, mem.id, mem.name) {
-					continue // a rival finished the shard first
-				}
-				sched.complete()
-				continue
-			}
-			if sched.consumeYield(t, mem.id) {
-				continue // rescheduling, not failure
-			}
-			if sched.taskDone(t) {
-				continue
-			}
-			if retryable(err) {
-				sched.requeue(t, mem.id, err)
-			} else {
-				sched.fail(err)
-			}
-		}
+		states[i] = newShardState(streamWindow, cp.Cursors[i].Next, plan.ShardTotal(i))
 	}
 
 	// Unlike a sweep, a striped stream needs every shard streaming at
 	// once — the interleaver consumes them in owner order — so each
 	// backend runs enough workers to cover its share of the stripes.
-	perBackend := func() int {
-		b := c.reg.Len()
-		if b < 1 {
-			b = 1
-		}
+	perMember := func() int {
+		b := max(c.reg.Len(), 1)
 		return (n + b - 1) / b
 	}
-	started := make(map[int]bool)
-	var startMu sync.Mutex
-	spawn := func(announce bool) {
-		startMu.Lock()
-		defer startMu.Unlock()
-		for _, mem := range c.reg.live() {
-			if started[mem.id] {
-				continue
-			}
-			started[mem.id] = true
-			for w := 0; w < perBackend(); w++ {
-				wg.Add(1)
-				go worker(mem)
-			}
-			if announce {
-				c.emit(Event{Backend: mem.name, Kind: "join", Detail: "joined mid-stream"})
-			}
-		}
-	}
-	spawn(false)
+	sched, stop := c.runShards(ctx, n, func(i int) bool { return cp.Cursors[i].Next >= plan.ShardTotal(i) }, perMember, "stream",
+		func(execCtx context.Context, b client.Backend, shard int) (func() error, error) {
+			return nil, streamShard(execCtx, b, shardCfg(shard), states[shard])
+		})
+	runCtx := sched.runCtx
 
-	updates, unsubscribe := c.reg.subscribe()
-	stopWatch := make(chan struct{})
-	var watchWG sync.WaitGroup
-	watchWG.Add(1)
+	// Run death — failure or completion — reaches every blocked
+	// producer and the interleaver through the shard states.
+	var bg sync.WaitGroup
+	bg.Add(2)
 	go func() {
-		defer watchWG.Done()
-		for {
-			select {
-			case <-stopWatch:
-				return
-			case <-updates:
-				spawn(true)
-				sched.recheck()
-			}
-		}
-	}()
-
-	ctxWatch := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			sched.fail(ctx.Err())
-		case <-ctxWatch:
+		defer bg.Done()
+		<-runCtx.Done()
+		for _, st := range states {
+			st.kill()
 		}
 	}()
 
@@ -540,10 +429,8 @@ func (s *StreamCoordinator) run(ctx context.Context, cfg actuary.ScenarioConfig,
 	// blocked on full windows would deadlock against a starved head.
 	var urgent atomic.Int64
 	urgent.Store(-1)
-	var rescueWG sync.WaitGroup
-	rescueWG.Add(1)
 	go func() {
-		defer rescueWG.Done()
+		defer bg.Done()
 		ticker := time.NewTicker(streamRescueTick)
 		defer ticker.Stop()
 		stalled := 0
@@ -636,15 +523,8 @@ func (s *StreamCoordinator) run(ctx context.Context, cfg actuary.ScenarioConfig,
 	if runErr != nil {
 		sched.fail(runErr)
 	}
-	cancelRun()
-	close(stopWatch)
-	unsubscribe()
-	watchWG.Wait()
-	wg.Wait()
-	close(ctxWatch)
-	deadWG.Wait()
-	rescueWG.Wait()
-	c.recordStats(sched, n)
+	stop()
+	bg.Wait()
 	if runErr != nil {
 		return cp, runErr
 	}

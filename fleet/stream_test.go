@@ -106,7 +106,7 @@ func TestStreamStripedMatchesSingleBackend(t *testing.T) {
 	}
 	for _, backends := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("backends=%d", backends), func(t *testing.T) {
-			coord, err := NewStream(localRegistry(t, backends))
+			coord, err := New(localRegistry(t, backends))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +148,7 @@ func TestStreamRandomGridsProperty(t *testing.T) {
 		shards := 1 + rng.Intn(7)
 		t.Run(fmt.Sprintf("trial=%d/backends=%d/shards=%d", trial, backends, shards), func(t *testing.T) {
 			want := singleBackendStream(t, cfg)
-			coord, err := NewStream(localRegistry(t, backends), WithShards(shards))
+			coord, err := New(localRegistry(t, backends), WithShards(shards))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -219,7 +219,7 @@ func TestStreamSurvivesTruncatingBackend(t *testing.T) {
 	if err := reg.Add("solid", client.Local(newSession(t))); err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewStream(reg, WithShards(4))
+	coord, err := New(reg, WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestStreamSpeculationRescuesWedgedShard(t *testing.T) {
 	if err := reg.Add("solid", client.Local(newSession(t))); err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewStream(reg, WithShards(2))
+	coord, err := New(reg, WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestStreamLateJoiner(t *testing.T) {
 		t.Fatal(err)
 	}
 	var joins atomic.Int32
-	coord, err := NewStream(reg, WithShards(4), WithEvents(func(ev Event) {
+	coord, err := New(reg, WithShards(4), WithEvents(func(ev Event) {
 		if ev.Kind == "join" {
 			joins.Add(1)
 		}
@@ -355,7 +355,7 @@ func TestStreamCheckpointResume(t *testing.T) {
 		t.Fatal("reference stream too short to cut")
 	}
 
-	newCoord := func(sessions []*actuary.Session) *StreamCoordinator {
+	newCoord := func(sessions []*actuary.Session) *Coordinator {
 		t.Helper()
 		reg := NewRegistry()
 		for i, s := range sessions {
@@ -363,7 +363,7 @@ func TestStreamCheckpointResume(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		coord, err := NewStream(reg, WithShards(5), WithSpeculation(false))
+		coord, err := New(reg, WithShards(5), WithSpeculation(false))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,8 +395,8 @@ func TestStreamCheckpointResume(t *testing.T) {
 	if err := actuary.SaveCheckpointFile(path, cp); err != nil {
 		t.Fatal(err)
 	}
-	resume, err := actuary.LoadFleetStreamCheckpointFile(path)
-	if err != nil {
+	resume := new(actuary.FleetStreamCheckpoint)
+	if err := actuary.LoadCheckpointFile(path, resume); err != nil {
 		t.Fatal(err)
 	}
 
@@ -447,7 +447,7 @@ func TestStreamCheckpointResume(t *testing.T) {
 // striping is rejected, not silently merged.
 func TestStreamResumeMismatch(t *testing.T) {
 	cfg := streamScenario()
-	coord, err := NewStream(localRegistry(t, 1), WithShards(3), WithSpeculation(false))
+	coord, err := New(localRegistry(t, 1), WithShards(3), WithSpeculation(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func TestStreamResumeMismatch(t *testing.T) {
 		t.Errorf("foreign-scenario resume returned %v, want ErrCheckpointMismatch", err)
 	}
 
-	wider, err := NewStream(localRegistry(t, 1), WithShards(4))
+	wider, err := New(localRegistry(t, 1), WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +478,7 @@ func TestStreamResumeMismatch(t *testing.T) {
 // every shard, so a striped stream cannot reproduce the
 // single-backend stream and the scenario is rejected up front.
 func TestStreamRejectsSweepBest(t *testing.T) {
-	coord, err := NewStream(localRegistry(t, 1))
+	coord, err := New(localRegistry(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,9 +498,9 @@ func TestStreamRejectsSweepBest(t *testing.T) {
 // so the head makes progress — without it this configuration
 // deadlocks.
 func TestStreamRescueUnblocksHeadShard(t *testing.T) {
-	oldTick := streamRescueTick
-	streamRescueTick = 2 * time.Millisecond
-	defer func() { streamRescueTick = oldTick }()
+	oldTick, oldWindow := streamRescueTick, streamWindow
+	streamRescueTick, streamWindow = 2*time.Millisecond, 1
+	defer func() { streamRescueTick, streamWindow = oldTick, oldWindow }()
 
 	cfg := streamScenario()
 	want := singleBackendStream(t, cfg)
@@ -514,8 +514,8 @@ func TestStreamRescueUnblocksHeadShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	var yields atomic.Int32
-	coord, err := NewStream(reg,
-		WithShards(4), WithStreamWindow(1), WithSpeculation(false),
+	coord, err := New(reg,
+		WithShards(4), WithSpeculation(false),
 		WithEvents(func(ev Event) {
 			if ev.Kind == "yield" {
 				yields.Add(1)
@@ -578,5 +578,31 @@ func TestShardStateAdmission(t *testing.T) {
 	r, ok := st.tryConsume()
 	if !ok || r.Index != 0 || st.lead() != 1 {
 		t.Fatalf("consume = %+v/%v, lead %d; want index 0, lead 1", r, ok, st.lead())
+	}
+}
+
+// TestStreamCheckpointSaveFailure: a failing save ends the striped
+// stream with an error wrapping the save error, and the returned
+// checkpoint still accounts exactly for the results delivered.
+func TestStreamCheckpointSaveFailure(t *testing.T) {
+	coord, err := New(localRegistry(t, 2), WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errDisk := errors.New("disk full")
+	saves, delivered := 0, 0
+	cp, err := coord.StreamCheckpointed(context.Background(), streamScenario(), nil, 3,
+		func(*actuary.FleetStreamCheckpoint) error {
+			if saves++; saves == 2 {
+				return errDisk
+			}
+			return nil
+		},
+		func(actuary.Result) error { delivered++; return nil })
+	if !errors.Is(err, errDisk) {
+		t.Fatalf("stream with a failing save returned %v, want it to wrap %v", err, errDisk)
+	}
+	if cp == nil || cp.Merged.Next != delivered || delivered != 6 {
+		t.Fatalf("checkpoint after the failed save = %+v with %d delivered; want Next = delivered = 6", cp, delivered)
 	}
 }

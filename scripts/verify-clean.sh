@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # verify-clean.sh — run the tier-1 checks on the committed tree alone:
 # gofmt, go vet, go build and go test inside a throwaway detached
-# worktree of HEAD, so an uncommitted, ignored or stray local file can
-# never make a commit look green. The worktree is removed on exit,
-# pass or fail.
+# worktree of HEAD, then build explore and actuaryd there and run the
+# kill-and-resume and stream-smoke harnesses against them, so an
+# uncommitted, ignored or stray local file can never make a commit look
+# green. The worktree is removed on exit, pass or fail.
+# (straggler-smoke.sh stays out: it asserts a race outcome and flakes
+# on small machines.)
 #
 # Usage: scripts/verify-clean.sh [go test flags...]
 #   e.g. scripts/verify-clean.sh -race -short
@@ -34,4 +37,8 @@ echo "vet: ok"
 go build ./...
 echo "build: ok"
 go test "$@" ./...
+go build -o explore ./cmd/explore
+go build -o actuaryd ./cmd/actuaryd
+bash scripts/kill-and-resume.sh
+bash scripts/stream-smoke.sh
 echo "verify-clean: ok"

@@ -512,16 +512,16 @@ func (r *Result) UnmarshalJSON(data []byte) error {
 }
 
 // Checkpoint wire forms. A checkpoint is the versioned canonical JSON
-// snapshot of a partially drained sweep: enough state to continue the
-// walk on another process — or another host — and still produce output
-// byte-identical to an uninterrupted run. Three shapes exist, one per
-// pipeline layer: SweepCheckpoint (a single sweep-best walk),
-// StreamCheckpoint (a scenario result stream reduced through the
-// online aggregators), and CoordinatorCheckpoint (per-shard progress
-// of a distributed run). All three carry CheckpointVersion and a
-// workload fingerprint; decode rejects unknown fields, and a version
-// or fingerprint mismatch fails loudly instead of resuming the wrong
-// sweep.
+// snapshot of a partially drained run: enough state to continue it on
+// another process — or another host — and still produce output
+// byte-identical to an uninterrupted run. Five forms exist (see
+// checkpoint.go): SweepCheckpoint, SearchCheckpoint, StreamCheckpoint,
+// FleetStreamCheckpoint and CoordinatorCheckpoint. Every form carries
+// CheckpointVersion and a workload fingerprint — FleetStreamCheckpoint
+// inside its merged stream checkpoint, plus one per shard cursor.
+// Decode rejects unknown fields, so a file of one form never decodes
+// as another, and a version or fingerprint mismatch fails loudly
+// instead of resuming the wrong run.
 
 // CheckpointVersion is the format version stamped on every encoded
 // checkpoint. Decoding any other version is an error: a checkpoint is
@@ -529,8 +529,8 @@ func (r *Result) UnmarshalJSON(data []byte) error {
 // an unknown format could not keep.
 const CheckpointVersion = 1
 
-// checkpointVersionError renders the one error message all three
-// checkpoint decoders share.
+// checkpointVersionError renders the one error message every
+// checkpoint decoder shares.
 func checkpointVersionError(kind string, got int) error {
 	return fmt.Errorf("actuary: %s checkpoint version %d (this build reads version %d)",
 		kind, got, CheckpointVersion)
