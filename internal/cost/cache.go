@@ -43,22 +43,22 @@ type cacheTally struct {
 }
 
 // kgdCache is a bounded, concurrency-safe memoization table for die
-// evaluations, backed by the sharded memo cache. Each shard evicts
-// FIFO — sweeps and portfolios revisit the same handful of die shapes
-// over and over, so recency tracking buys nothing at this working-set
-// size, and a miss-heavy sweep (every candidate a new die shape) pays
-// O(1) per insert rather than the O(entries) a copy-on-write shard
-// would charge.
+// evaluations, backed by the set-associative memo cache. Each set
+// evicts FIFO — sweeps and portfolios revisit the same handful of die
+// shapes over and over, so recency tracking buys nothing at this
+// working-set size, and a miss-heavy sweep (every candidate a new die
+// shape) pays one in-place slot write per insert.
 type kgdCache = memo.Cache[DieKey, dieValue]
 
 func newKGDCache(max int) *kgdCache {
 	return memo.New[DieKey, dieValue](max, dieKeyHash)
 }
 
-// dieKeyHash is inline FNV-1a over the node name and area bits: the
-// shard choice only has to spread load, and a seeded hash here would
-// cost as much as a cache miss. The salvage fields are left out — the
-// in-shard map disambiguates.
+// dieKeyHash is inline FNV-1a over the node name and area bits. It
+// only has to be cheap and collision-light: memo finalizes it before
+// picking a shard and set, so round areas whose low bits are all zero
+// still spread. The salvage fields are left out — the set's key
+// compare disambiguates.
 func dieKeyHash(k DieKey) uint64 {
 	h := uint64(1469598103934665603)
 	for i := 0; i < len(k.Node); i++ {

@@ -149,3 +149,49 @@ func TestCacheConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCacheRetainsRoundAreaGrid feeds a default-size KGD cache every
+// distinct die shape of a 1 mm²-step 5nm grid (areas 100–800, k=1–4,
+// D2D 10%, k=1 monolithic as the sweep builds it): 2,201 keys, a bit
+// over half the table. Round areas leave the low bits of dieKeyHash
+// structured; a table that picked shards or sets from those raw bits
+// crowded a few shards and kept only 1,659 of them (75%). The
+// finalized hash spreads them over every set, so only the handful of
+// sets that draw more than eight shapes evict.
+func TestCacheRetainsRoundAreaGrid(t *testing.T) {
+	seen := make(map[DieKey]bool)
+	for a := 100; a <= 800; a++ {
+		for k := 1; k <= 4; k++ {
+			scheme := packaging.MCM
+			if k == 1 {
+				scheme = packaging.SoC
+			}
+			s, err := system.PartitionEqual("g", "5nm", float64(a), k, scheme, dtod.Fraction{F: 0.10}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := s.Placements[0].Chiplet
+			seen[DieKey{Node: c.Node, AreaMM2: c.DieArea()}] = true
+		}
+	}
+	if len(seen) != 2201 {
+		t.Fatalf("grid has %d distinct die shapes, want 2201", len(seen))
+	}
+	c := newKGDCache(4096)
+	for k := range seen {
+		c.Put(k, dieValue{})
+	}
+	resident := 0
+	for k := range seen {
+		if _, ok := c.Peek(k); ok {
+			resident++
+		}
+	}
+	st := c.Stats()
+	if resident != st.Entries || int64(st.Entries)+st.Evictions != int64(len(seen)) {
+		t.Fatalf("%d resident keys, stats %+v", resident, st)
+	}
+	if min := len(seen) * 98 / 100; resident < min {
+		t.Errorf("retained %d of %d die shapes, want ≥ %d", resident, len(seen), min)
+	}
+}

@@ -311,9 +311,10 @@ func (e *Engine) REUniform(s system.System, u system.Uniform) (Breakdown, error)
 	b := Breakdown{Dies: make([]DieCost, k)}
 	var totalArea, totalKGD float64
 	for i := 0; i < k; i++ {
-		d := dc
-		d.Name = s.Placements[i].Chiplet.Name
-		b.Dies[i] = d
+		// Field by field into the zeroed slice: no DieCost temporary.
+		d := &b.Dies[i]
+		d.Name, d.Node, d.AreaMM2 = s.Placements[i].Chiplet.Name, dc.Node, dc.AreaMM2
+		d.Raw, d.Yield, d.KGD = dc.Raw, dc.Yield, dc.KGD
 		b.RawChips += dc.Raw
 		b.ChipDefects += dc.Raw * (1/dc.Yield - 1)
 		totalArea += dc.AreaMM2

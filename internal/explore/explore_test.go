@@ -3,7 +3,9 @@ package explore
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"chipletactuary/internal/dtod"
@@ -497,5 +499,75 @@ func TestSingleUniformAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("%.2f allocs per cache-warm Single, want ≤ 1", allocs)
+	}
+}
+
+// TestTinyCachesMatchPortfolio walks a random grid on 4 goroutines
+// through one evaluator whose KGD, packaging-partial and NRE-term
+// caches hold 16 entries each, so lookups keep meeting conflict
+// evictions and in-place overwrites. Every result must equal the
+// cache-less one-member Portfolio bit for bit, error text included.
+func TestTinyCachesMatchPortfolio(t *testing.T) {
+	tiny, err := NewEvaluatorWithCaches(tech.Default(), packaging.DefaultParams(), 16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := evaluator(t)
+	rng := rand.New(rand.NewSource(16))
+	nodes := []string{"5nm", "7nm", "14nm", "1nm"} // 1nm is unknown
+	schemes := []packaging.Scheme{packaging.SoC, packaging.MCM, packaging.InFO, packaging.TwoPointFiveD}
+	type want struct {
+		tc  TotalCost
+		err string
+	}
+	var systems []system.System
+	var wants []want
+	for len(systems) < 400 {
+		k := 1 + rng.Intn(6)
+		scheme := schemes[rng.Intn(len(schemes))]
+		if k > 1 && scheme == packaging.SoC {
+			scheme = packaging.MCM
+		}
+		area := float64(20 + rng.Intn(200)*5)
+		qty := []float64{0, 1e4, 5e5, 2e6}[rng.Intn(4)]
+		s, err := system.PartitionEqual("r", nodes[rng.Intn(len(nodes))], area, k, scheme, dtod.Fraction{F: 0.1}, qty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := ref.Portfolio([]system.System{s}, nre.PerSystemUnit)
+		w := want{tc: m[s.Name]}
+		if err != nil {
+			w.err = err.Error()
+		}
+		systems = append(systems, s)
+		wants = append(wants, w)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for pass := 0; pass < 3; pass++ {
+				for j := range systems {
+					i := (j*(2*g+1) + pass) % len(systems)
+					got, err := tiny.Single(systems[i], nre.PerSystemUnit)
+					w := wants[i]
+					if err != nil || w.err != "" {
+						if err == nil || err.Error() != w.err {
+							t.Errorf("system %d: Single err %v, Portfolio err %q", i, err, w.err)
+						}
+						continue
+					}
+					if !reflect.DeepEqual(got, w.tc) {
+						t.Errorf("system %d: Single %+v, Portfolio %+v", i, got, w.tc)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := tiny.PartialsCacheStats()
+	if st.Packaging.Evictions == 0 || st.NRE.Evictions == 0 {
+		t.Errorf("16-entry caches never evicted: %+v", st)
 	}
 }

@@ -24,6 +24,9 @@ type uniformKey struct {
 	d2dArea    float64
 }
 
+// uniformKeyHash is inline FNV-1a over the key's fields. memo
+// finalizes it before picking a shard and set, so it only has to be
+// cheap and collision-light.
 func uniformKeyHash(k uniformKey) uint64 {
 	h := uint64(1469598103934665603)
 	for i := 0; i < len(k.node); i++ {

@@ -126,25 +126,16 @@ type PartialKey struct {
 	InterposerOverrideMM2 float64
 }
 
-// Hash mixes the key for the shard-selection function of a memo
-// cache (FNV-1a over the scalar fields).
+// Hash combines the key's fields word by word (xor, then multiply by
+// the 64-bit FNV prime). memo finalizes the result before picking a
+// shard and set, so the hash only has to keep distinct keys apart,
+// not avalanche.
 func (k PartialKey) Hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	mix(uint64(k.Scheme)<<32 | uint64(k.Flow)<<16 | uint64(uint32(k.Dies)))
-	mix(math.Float64bits(k.TotalDieAreaMM2))
-	mix(math.Float64bits(k.FootprintOverrideMM2))
-	mix(math.Float64bits(k.InterposerOverrideMM2))
+	const prime64 = 1099511628211
+	h := (uint64(k.Scheme)<<32 | uint64(k.Flow)<<16 | uint64(uint32(k.Dies))) * prime64
+	h = (h ^ math.Float64bits(k.TotalDieAreaMM2)) * prime64
+	h = (h ^ math.Float64bits(k.FootprintOverrideMM2)) * prime64
+	h = (h ^ math.Float64bits(k.InterposerOverrideMM2)) * prime64
 	return h
 }
 

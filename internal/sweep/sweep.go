@@ -382,12 +382,16 @@ type Generator struct {
 	shardCount int
 	lean       bool
 	// idBuf[:idPrefix] is the ComboID of the (node, effective scheme,
-	// quantity) combination idKey names; pointID appends the area and
-	// count segments after it, so consecutive points of one combination
-	// (the count axis spins fastest) pay for their ID string only.
-	idBuf    []byte
-	idPrefix int
-	idKey    comboKey
+	// quantity) combination idKey names, and idBuf[:idAreaEnd] extends
+	// it with the "-a<area>" segment of area index idArea (−1: none
+	// yet); pointID appends the count segment after that, so
+	// consecutive points of one combination and area (the count axis
+	// spins fastest) pay for their ID string only.
+	idBuf     []byte
+	idPrefix  int
+	idKey     comboKey
+	idArea    int
+	idAreaEnd int
 }
 
 // comboKey names one (node, effective scheme, quantity) axis
@@ -407,7 +411,7 @@ func (g Grid) Points(filters ...Filter) *Generator {
 		d2d = dtod.None{}
 	}
 	odo := NewOdometer(len(g.Nodes), len(g.Schemes), len(g.Quantities), len(g.AreasMM2), len(g.Counts))
-	return &Generator{grid: g, filters: filters, d2d: d2d, odo: odo, idKey: comboKey{node: -1}}
+	return &Generator{grid: g, filters: filters, d2d: d2d, odo: odo, idKey: comboKey{node: -1}, idArea: -1}
 }
 
 // Grid returns the grid this generator walks.
@@ -521,7 +525,8 @@ func (it *Generator) Next() (Point, bool) {
 		node := g.Nodes[nodeIdx]
 		scheme := g.Schemes[schemeIdx]
 		quantity := g.Quantities[quantityIdx]
-		area := g.AreasMM2[idx[3]]
+		areaIdx := idx[3]
+		area := g.AreasMM2[areaIdx]
 		k := g.Counts[idx[4]]
 		it.odo.advance()
 
@@ -546,9 +551,9 @@ func (it *Generator) Next() (Point, bool) {
 				it.stats.Pruned++
 				continue
 			}
-			p.ID = it.pointID(comboKey{nodeIdx, sch, quantityIdx}, area, k)
+			p.ID = it.pointID(comboKey{nodeIdx, sch, quantityIdx}, areaIdx, k)
 		} else {
-			id := it.pointID(comboKey{nodeIdx, sch, quantityIdx}, area, k)
+			id := it.pointID(comboKey{nodeIdx, sch, quantityIdx}, areaIdx, k)
 			sys, err := system.PartitionEqual(id, node, area, k, sch, it.d2d, quantity)
 			if err != nil {
 				// Unbuildable combination (e.g. an SoC scheme asked to
@@ -582,18 +587,24 @@ func (it *Generator) Next() (Point, bool) {
 }
 
 // pointID returns Grid.PointID of the candidate with the given axis
-// combination, area and count, byte for byte, rebuilding the cached
-// ComboID prefix only when the combination changes.
-func (it *Generator) pointID(key comboKey, areaMM2 float64, k int) string {
+// combination, area index and count, byte for byte, rebuilding the
+// cached ComboID prefix only when the combination changes and the area
+// segment only when the area does.
+func (it *Generator) pointID(key comboKey, areaIdx, k int) string {
+	g := it.grid
 	if key != it.idKey {
-		g := it.grid
 		it.idBuf = append(it.idBuf[:0], g.ComboID(g.Nodes[key.node], key.scheme, g.Quantities[key.quantity])...)
 		it.idPrefix = len(it.idBuf)
 		it.idKey = key
+		it.idArea = -1
 	}
-	buf := append(it.idBuf[:it.idPrefix], "-a"...)
-	buf = strconv.AppendFloat(buf, areaMM2, 'g', -1, 64)
-	buf = append(buf, "-k"...)
+	if areaIdx != it.idArea {
+		it.idBuf = append(it.idBuf[:it.idPrefix], "-a"...)
+		it.idBuf = strconv.AppendFloat(it.idBuf, g.AreasMM2[areaIdx], 'g', -1, 64)
+		it.idAreaEnd = len(it.idBuf)
+		it.idArea = areaIdx
+	}
+	buf := append(it.idBuf[:it.idAreaEnd], "-k"...)
 	buf = strconv.AppendInt(buf, int64(k), 10)
 	it.idBuf = buf
 	return string(buf)

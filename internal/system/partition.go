@@ -85,16 +85,13 @@ func PartitionEqual(name, node string, moduleAreaMM2 float64, k int,
 		b.WriteString(chiplet)
 		b.Write(digits)
 		names := b.String()
-		modules[i] = Module{Name: names[start:mid], AreaMM2: per, Scalable: true}
-		placements[i] = Placement{
-			Chiplet: Chiplet{
-				Name:    names[mid:],
-				Node:    node,
-				Modules: modules[i : i+1 : i+1],
-				D2D:     d2d,
-			},
-			Count: 1,
-		}
+		// Field by field into the zeroed slices: a composite literal
+		// would be built on the stack and copied in.
+		m := &modules[i]
+		m.Name, m.AreaMM2, m.Scalable = names[start:mid], per, true
+		c := &placements[i].Chiplet
+		c.Name, c.Node, c.Modules, c.D2D = names[mid:], node, modules[i:i+1:i+1], d2d
+		placements[i].Count = 1
 	}
 	return System{Name: name, Scheme: scheme, Placements: placements, Quantity: quantity}, nil
 }

@@ -329,3 +329,43 @@ func TestPartitionEqualAllocs(t *testing.T) {
 		t.Errorf("Monolithic: %.1f allocs, want ≤ 3", allocs)
 	}
 }
+
+// TestAsUniformNames checks the pairwise name-distinctness test behind
+// AsUniform: names that differ only before their shared last byte are
+// distinct, and an identical chiplet or module name disqualifies the
+// system.
+func TestAsUniformNames(t *testing.T) {
+	build := func(chiplets, modules []string) System {
+		t.Helper()
+		s, err := PartitionEqual("u", "5nm", 600, len(chiplets), packaging.MCM, dtod.Fraction{F: 0.1}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range s.Placements {
+			c := &s.Placements[i].Chiplet
+			c.Name, c.Modules[0].Name = chiplets[i], modules[i]
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		chiplets, modules []string
+		uniform           bool
+	}{
+		{[]string{"c-1", "c-2", "c-3"}, []string{"m-1", "m-2", "m-3"}, true},
+		{[]string{"a-chiplet-1", "b-chiplet-1"}, []string{"a-part-1", "b-part-1"}, true},
+		{[]string{"chiplet-x1", "chiplet-y1"}, []string{"m-1", "m-2"}, true},
+		{[]string{"c", "cc"}, []string{"m-1", "m-2"}, true},
+		{[]string{"c-1", "c-2", "c-1"}, []string{"m-1", "m-2", "m-3"}, false},
+		{[]string{"c-1", "c-2"}, []string{"m-x", "m-x"}, false},
+		{[]string{"same-name-7", "same-name-7"}, []string{"same-name-7", "same-name-7"}, false},
+	} {
+		if _, ok := AsUniform(build(tc.chiplets, tc.modules)); ok != tc.uniform {
+			t.Errorf("chiplets %q modules %q: uniform=%v, want %v", tc.chiplets, tc.modules, ok, tc.uniform)
+		}
+	}
+	for _, p := range [][2]string{{"", ""}, {"a", "a"}, {"ab", "ba"}, {"x-1", "y-1"}, {"x-1", "x-2"}, {"abc", "ab"}} {
+		if got, want := sameName(p[0], p[1]), p[0] == p[1]; got != want {
+			t.Errorf("sameName(%q, %q) = %v, want %v", p[0], p[1], got, want)
+		}
+	}
+}

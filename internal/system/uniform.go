@@ -59,9 +59,14 @@ func AsUniform(s System) (Uniform, bool) {
 			return Uniform{}, false
 		}
 		// ModuleArea/D2DArea/DieArea exactly as Chiplet.DieArea
-		// computes them, so downstream math sees the same bits.
-		modArea := c.ModuleArea()
-		d2dArea := c.D2DArea()
+		// computes them, so downstream math sees the same bits, without
+		// copying the chiplet into those value-receiver methods: the
+		// one-module sum is 0 + m.AreaMM2, which is m.AreaMM2 itself.
+		modArea := m.AreaMM2
+		var d2dArea float64
+		if c.D2D != nil {
+			d2dArea = c.D2D.Area(modArea)
+		}
 		dieArea := modArea + d2dArea
 		if !(dieArea > 0) { // rejects NaN and non-positive too
 			return Uniform{}, false
@@ -77,12 +82,27 @@ func AsUniform(s System) (Uniform, bool) {
 		// map) and duplicate NRE design keys; bail to it.
 		for j := 0; j < i; j++ {
 			prev := &s.Placements[j].Chiplet
-			if prev.Name == c.Name || prev.Modules[0].Name == m.Name {
+			if sameName(prev.Name, c.Name) || sameName(prev.Modules[0].Name, m.Name) {
 				return Uniform{}, false
 			}
 		}
 	}
 	return u, true
+}
+
+// sameName is a == b, comparing the last bytes first: the names of an
+// equal partition share everything but their trailing sequence number,
+// so a front-to-back compare would walk the whole common prefix.
+func sameName(a, b string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := len(a) - 1; i >= 0; i-- {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // WrapUniformNodeErr reproduces, byte for byte, the error chain
