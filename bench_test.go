@@ -251,10 +251,11 @@ func sessionBenchRequests(b *testing.B) []Request {
 }
 
 // BenchmarkSessionEvaluateBatch measures the batch pipeline on a
-// 120-request sweep. "cached" is the default Session (worker pool +
-// shared KGD cache), "uncached" disables the cache, and
-// "single-shot-uncached" is the pre-Session baseline: one request at
-// a time, one worker, no memoization.
+// 120-request sweep. "cached" and "uncached" both run the default
+// Session (worker pool, no memoization — the arm names predate the
+// removal of the die-cost cache and are kept so recorded baselines
+// still match), and "single-shot-uncached" is the pre-Session
+// baseline: one request at a time, one worker.
 func BenchmarkSessionEvaluateBatch(b *testing.B) {
 	reqs := sessionBenchRequests(b)
 	ctx := context.Background()
@@ -278,14 +279,14 @@ func BenchmarkSessionEvaluateBatch(b *testing.B) {
 		runBatch(b, s)
 	})
 	b.Run("uncached", func(b *testing.B) {
-		s, err := NewSession(WithCacheSize(0))
+		s, err := NewSession()
 		if err != nil {
 			b.Fatal(err)
 		}
 		runBatch(b, s)
 	})
 	b.Run("single-shot-uncached", func(b *testing.B) {
-		s, err := NewSession(WithCacheSize(0), WithWorkers(1))
+		s, err := NewSession(WithWorkers(1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -301,8 +302,7 @@ func BenchmarkSessionEvaluateBatch(b *testing.B) {
 		}
 	})
 	// Under the high-fidelity grid-packed wafer estimator each die
-	// evaluation walks the full stepper grid, so memoization carries
-	// the batch instead of merely breaking even.
+	// evaluation walks the full stepper grid.
 	gridParams := packaging.DefaultParams()
 	gridParams.Estimator = wafer.GridPacked
 	b.Run("grid-packed-cached", func(b *testing.B) {
@@ -313,7 +313,7 @@ func BenchmarkSessionEvaluateBatch(b *testing.B) {
 		runBatch(b, s)
 	})
 	b.Run("grid-packed-uncached", func(b *testing.B) {
-		s, err := NewSession(WithPackaging(gridParams), WithCacheSize(0))
+		s, err := NewSession(WithPackaging(gridParams))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -359,15 +359,11 @@ func BenchmarkSessionStreamSweep(b *testing.B) {
 	ctx := context.Background()
 	// reportThroughput turns the wall clock into the headline number:
 	// points/sec computed from b.Elapsed (not ns/op arithmetic after
-	// the fact), plus the partials-cache hit rate — the two signals
-	// BENCH_*.json and the CI bench-smoke gate track.
-	reportThroughput := func(b *testing.B, s *Session, points int) {
+	// the fact) — the signal BENCH_*.json and the CI bench-smoke gate
+	// track.
+	reportThroughput := func(b *testing.B, points int) {
 		if sec := b.Elapsed().Seconds(); sec > 0 {
 			b.ReportMetric(float64(points*b.N)/sec, "points/sec")
-		}
-		ps := s.PartialsCacheStats()
-		if probes := ps.Packaging.Hits + ps.Packaging.Misses; probes > 0 {
-			b.ReportMetric(float64(ps.Packaging.Hits)/float64(probes), "partials-hit-rate")
 		}
 	}
 	sizes := []struct {
@@ -407,7 +403,7 @@ func BenchmarkSessionStreamSweep(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			reportThroughput(b, s, size.points)
+			reportThroughput(b, size.points)
 		})
 		b.Run("materialized-"+size.name, func(b *testing.B) {
 			s, err := NewSession()
@@ -443,7 +439,7 @@ func BenchmarkSessionStreamSweep(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			reportThroughput(b, s, size.points)
+			reportThroughput(b, size.points)
 		})
 	}
 	// One sweep-best request answers the whole grid inside the worker:
@@ -466,7 +462,7 @@ func BenchmarkSessionStreamSweep(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		reportThroughput(b, s, 568)
+		reportThroughput(b, 568)
 	})
 }
 

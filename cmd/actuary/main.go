@@ -206,9 +206,7 @@ func runScenario(ctx context.Context, out io.Writer, db *actuary.TechDatabase, p
 	if err := tab.WriteText(out); err != nil {
 		return err
 	}
-	stats := s.CacheStats()
-	fmt.Fprintf(out, "\n%d ok, %d failed; KGD cache: %d hits, %d misses\n",
-		len(results)-failures, failures, stats.Hits, stats.Misses)
+	fmt.Fprintf(out, "\n%d ok, %d failed\n", len(results)-failures, failures)
 	return nil
 }
 
@@ -303,12 +301,11 @@ func streamScenario(ctx context.Context, out io.Writer, s *actuary.Session, cfg 
 		}
 		fmt.Fprintln(out)
 	}
-	cache := s.CacheStats()
 	fmt.Fprintf(out, "%d ok, %d failed, %d non-cost", stats.OK, stats.Failed, stats.Skipped)
 	if stats.Cost.Count > 0 {
 		fmt.Fprintf(out, "; cheapest %s at %s", stats.Cost.MinID, units.Dollars(stats.Cost.Min))
 	}
-	fmt.Fprintf(out, "; KGD cache: %d hits, %d misses\n", cache.Hits, cache.Misses)
+	fmt.Fprintln(out)
 	return nil
 }
 

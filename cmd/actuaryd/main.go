@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	actuaryd [-addr :8833] [-tech tech.json] [-workers N] [-inflight N] [-cache N]
+//	actuaryd [-addr :8833] [-tech tech.json] [-workers N] [-inflight N]
 //	         [-workers-min N -workers-max N [-resize-every D]]
 //
 // Endpoints (see the server package):
@@ -14,7 +14,7 @@
 //	GET  /v1/questions  API self-description
 //	GET  /v1/metricz    metrics snapshot as canonical JSON
 //	GET  /healthz       liveness
-//	GET  /metrics       back-pressure + cache counters
+//	GET  /metrics       back-pressure counters
 //
 // With -workers-min/-workers-max the worker pool is elastic: a
 // fleet.Resizer watches the session's back-pressure metrics every
@@ -64,13 +64,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	techPath := fs.String("tech", "", "optional technology database JSON (default: built-in)")
 	workers := fs.Int("workers", 0, "session worker pool width (default: one per CPU)")
 	inFlight := fs.Int("inflight", 0, "per-stream in-flight bound (default: twice the worker count)")
-	cacheSize := fs.Int("cache", 0, "KGD cache entries (default: 4096)")
 	workersMin := fs.Int("workers-min", 0, "lower bound for the elastic worker pool (with -workers-max)")
 	workersMax := fs.Int("workers-max", 0, "upper bound for the elastic worker pool (with -workers-min)")
 	resizeEvery := fs.Duration("resize-every", 2*time.Second, "elastic pool resize interval (needs -workers-min/-workers-max)")
 	grace := fs.Duration("grace", 10*time.Second, "shutdown grace period for in-flight requests")
 	pprofOn := fs.Bool("pprof", false, "serve net/http/pprof profiles under /debug/pprof/")
-	partialsSize := fs.Int("partials-cache", 0, "partial-result cache entries (default: 8192)")
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -91,12 +89,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	if elastic {
 		opts = append(opts, actuary.WithWorkerBounds(*workersMin, *workersMax))
-	}
-	if *cacheSize > 0 {
-		opts = append(opts, actuary.WithCacheSize(*cacheSize))
-	}
-	if *partialsSize > 0 {
-		opts = append(opts, actuary.WithPartialsCacheSize(*partialsSize))
 	}
 	session, err := actuary.NewSession(opts...)
 	if err != nil {

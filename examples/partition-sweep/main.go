@@ -3,8 +3,8 @@
 // the system be split into, and on which packaging technology?
 //
 // All twelve sweep questions (nine optimal-k points and three area
-// turning points) go out as ONE Session.Evaluate batch; the shared
-// KGD cache means the overlapping die shapes are costed once.
+// turning points) go out as ONE Session.Evaluate batch, fanned out over
+// the session's worker pool.
 //
 // Run with: go run ./examples/partition-sweep
 package main
@@ -79,8 +79,4 @@ func main() {
 		fmt.Printf("  %d → %d chiplets: %+.1f%% RE\n", k, k+1, -mu*100)
 	}
 	fmt.Println("→ two or three chiplets are usually sufficient (§6)")
-
-	st := s.CacheStats()
-	fmt.Printf("\nKGD cache over the batch: %d hits, %d misses (%d die shapes)\n",
-		st.Hits, st.Misses, st.Entries)
 }

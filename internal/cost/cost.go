@@ -24,12 +24,11 @@ import (
 var ErrDoesNotFitWafer = wafer.ErrDoesNotFit
 
 // Engine evaluates RE costs against a technology database and a
-// packaging parameter set.
+// packaging parameter set. It holds no mutable state, so one engine
+// can be shared by any number of goroutines.
 type Engine struct {
-	db       *tech.Database
-	params   packaging.Params
-	cache    *kgdCache               // nil when memoization is disabled
-	partials *packaging.PartialCache // nil when partial memoization is disabled
+	db     *tech.Database
+	params packaging.Params
 }
 
 // NewEngine builds an engine, validating the packaging parameters.
@@ -43,39 +42,22 @@ func NewEngine(db *tech.Database, params packaging.Params) (*Engine, error) {
 	return &Engine{db: db, params: params}, nil
 }
 
-// NewEngineWithCache builds an engine whose per-die evaluations are
-// memoized in a bounded cache of cacheSize entries, keyed by DieKey.
-// The cache is safe for concurrent use, so one engine can be shared
-// by the workers of a batch session; cacheSize ≤ 0 disables it.
-func NewEngineWithCache(db *tech.Database, params packaging.Params, cacheSize int) (*Engine, error) {
-	e, err := NewEngine(db, params)
-	if err != nil {
-		return nil, err
-	}
-	e.cache = newKGDCache(cacheSize)
-	return e, nil
+// CacheStats used to report the hit/miss counters of the KGD cache.
+//
+// Deprecated: the engine no longer memoizes die evaluations; the type
+// survives only for the benchmark harness and always reads zero. It
+// will be removed.
+type CacheStats struct {
+	Hits    int64
+	Misses  int64
+	Entries int
 }
 
-// NewEngineWithCaches additionally attaches a packaging partial cache
-// (typically shared with the NRE engine of the same evaluator, so
-// each sweep point prices its package once rather than once per
-// engine). A nil partials cache disables partial memoization; the
-// uniform fast path still runs, just cache-less.
-func NewEngineWithCaches(db *tech.Database, params packaging.Params, cacheSize int, partials *packaging.PartialCache) (*Engine, error) {
-	e, err := NewEngineWithCache(db, params, cacheSize)
-	if err != nil {
-		return nil, err
-	}
-	e.partials = partials
-	return e, nil
-}
-
-// CacheStats reports the KGD cache's hit/miss counters. The zero
-// value is returned when the cache is disabled.
-func (e *Engine) CacheStats() CacheStats {
-	st := e.cache.Stats()
-	return CacheStats{Hits: st.Hits, Misses: st.Misses, Entries: st.Entries}
-}
+// CacheStats returns the zero value.
+//
+// Deprecated: the engine no longer memoizes die evaluations; see the
+// CacheStats type.
+func (e *Engine) CacheStats() CacheStats { return CacheStats{} }
 
 // DB returns the engine's technology database.
 func (e *Engine) DB() *tech.Database { return e.db }
@@ -202,9 +184,8 @@ func (e *Engine) Wafers(s system.System, quantity float64) (WaferDemand, error) 
 // package, package defects, wasted KGDs) are non-negative under
 // validated parameters, so RE ≥ k·KGD — and any total that adds
 // non-negative NRE amortization on top is bounded too. The bound costs
-// one KGD-cache lookup per distinct (node, area) after the first
-// probe, which makes it cheap enough to run per candidate before
-// evaluation (adaptive-search pruning).
+// one die evaluation, which makes it cheap enough to run per candidate
+// before evaluation (adaptive-search pruning).
 //
 // The boolean is false when no sound bound is available: a shape the
 // uniform detector cannot prove (salvage, envelopes, mixed dies), an
@@ -216,31 +197,18 @@ func (e *Engine) REFloor(s system.System) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	var tally cacheTally
-	dc, err := e.dieCost(s.Placements[0].Chiplet, &tally)
+	dc, err := e.dieCost(s.Placements[0].Chiplet)
 	if err != nil || !(dc.KGD >= 0) {
 		return 0, false
 	}
-	e.cache.Note(tally.hits, tally.misses)
 	return float64(u.K) * dc.KGD, true
 }
 
-// dieCost evaluates one die, consulting the KGD cache when enabled.
-func (e *Engine) dieCost(c system.Chiplet, tally *cacheTally) (DieCost, error) {
+// dieCost evaluates one die: its wafer share plus bump and sort cost,
+// its yield (Eq. 1, or the salvage-weighted yield) and their KGD
+// quotient.
+func (e *Engine) dieCost(c system.Chiplet) (DieCost, error) {
 	area := c.DieArea()
-	key := DieKey{Node: c.Node, AreaMM2: area}
-	if c.Salvage != nil {
-		key.SalvageFraction = c.Salvage.Fraction
-		key.SalvageValue = c.Salvage.Value
-	}
-	if e.cache != nil {
-		if v, ok := e.cache.Peek(key); ok {
-			tally.hits++
-			return DieCost{Name: c.Name, Node: c.Node, AreaMM2: area,
-				Raw: v.raw, Yield: v.yield, KGD: v.kgd}, nil
-		}
-		tally.misses++
-	}
 	node, err := e.db.Node(c.Node)
 	if err != nil {
 		return DieCost{}, err
@@ -260,9 +228,7 @@ func (e *Engine) dieCost(c system.Chiplet, tally *cacheTally) (DieCost, error) {
 			SalvageValue:        c.Salvage.Value,
 		}.EffectiveYield(area)
 	}
-	kgd := raw / y
-	e.cache.Put(key, dieValue{raw: raw, yield: y, kgd: kgd})
-	return DieCost{Name: c.Name, Node: c.Node, AreaMM2: area, Raw: raw, Yield: y, KGD: kgd}, nil
+	return DieCost{Name: c.Name, Node: c.Node, AreaMM2: area, Raw: raw, Yield: y, KGD: raw / y}, nil
 }
 
 // RE computes the recurring cost of one unit of the system. Systems
@@ -277,9 +243,8 @@ func (e *Engine) RE(s system.System) (Breakdown, error) {
 }
 
 // REUniform evaluates a uniform k-way system with one die evaluation
-// and one (memoizable) packaging partial, reproducing the general
-// walk's arithmetic — including its error messages and cache
-// accounting — bit for bit. Callers that already hold the system's
+// and one packaging partial, reproducing the general walk's arithmetic
+// — including its error messages — bit for bit. Callers that already hold the system's
 // shape use it to skip RE's detection pass; u must come from
 // system.AsUniform(s).
 func (e *Engine) REUniform(s system.System, u system.Uniform) (Breakdown, error) {
@@ -291,8 +256,7 @@ func (e *Engine) REUniform(s system.System, u system.Uniform) (Breakdown, error)
 	if s.Quantity < 0 {
 		return Breakdown{}, fmt.Errorf("system: %q has negative quantity %v", s.Name, s.Quantity)
 	}
-	var tally cacheTally
-	dc, err := e.dieCost(s.Placements[0].Chiplet, &tally)
+	dc, err := e.dieCost(s.Placements[0].Chiplet)
 	if err != nil {
 		return Breakdown{}, err
 	}
@@ -302,10 +266,6 @@ func (e *Engine) REUniform(s system.System, u system.Uniform) (Breakdown, error)
 		// in assembly validation, so let it.
 		return e.reSlow(s)
 	}
-	// One probe stood in for k identical dies; account as the per-die
-	// walk would have: the first outcome plus k−1 hits.
-	tally.hits += int64(u.K - 1)
-	e.cache.Note(tally.hits, tally.misses)
 
 	k := u.K
 	b := Breakdown{Dies: make([]DieCost, k)}
@@ -320,7 +280,7 @@ func (e *Engine) REUniform(s system.System, u system.Uniform) (Breakdown, error)
 		totalArea += dc.AreaMM2
 		totalKGD += dc.KGD
 	}
-	pt, err := packaging.CachedPartial(e.partials, e.params, e.db, packaging.PartialKey{
+	pt, err := packaging.PartialFor(e.params, e.db, packaging.PartialKey{
 		Scheme:          s.Scheme,
 		Flow:            s.Flow,
 		Dies:            k,
@@ -347,9 +307,8 @@ func (e *Engine) reSlow(s system.System) (Breakdown, error) {
 	areas := make([]float64, len(dies))
 	kgds := make([]float64, len(dies))
 	b.Dies = make([]DieCost, len(dies))
-	var tally cacheTally
 	for i, c := range dies {
-		dc, err := e.dieCost(c, &tally)
+		dc, err := e.dieCost(c)
 		if err != nil {
 			return Breakdown{}, err
 		}
@@ -359,7 +318,6 @@ func (e *Engine) reSlow(s system.System) (Breakdown, error) {
 		areas[i] = dc.AreaMM2
 		kgds[i] = dc.KGD
 	}
-	e.cache.Note(tally.hits, tally.misses)
 
 	asm := packaging.Assembly{DieAreasMM2: areas, KGDCosts: kgds}
 	if s.Envelope != nil {

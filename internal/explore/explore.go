@@ -14,7 +14,6 @@ import (
 
 	"chipletactuary/internal/cost"
 	"chipletactuary/internal/dtod"
-	"chipletactuary/internal/memo"
 	"chipletactuary/internal/nre"
 	"chipletactuary/internal/packaging"
 	"chipletactuary/internal/sweep"
@@ -33,10 +32,6 @@ var ErrInfeasible = errors.New("infeasible")
 type Evaluator struct {
 	Cost *cost.Engine
 	NRE  *nre.Engine
-
-	// partials is the packaging partial cache shared by both engines
-	// (nil when disabled); kept for stats reporting.
-	partials *packaging.PartialCache
 }
 
 // NewEvaluator builds an evaluator from a database and packaging
@@ -53,56 +48,35 @@ func NewEvaluator(db *tech.Database, params packaging.Params) (*Evaluator, error
 	return &Evaluator{Cost: ce, NRE: ne}, nil
 }
 
-// NewEvaluatorWithCache builds an evaluator whose cost engine memoizes
-// die evaluations in a bounded concurrent cache (see cost.DieKey).
-// Sweeps and portfolios revisit the same die shapes constantly, so a
-// shared cache removes most of the per-request yield/geometry work.
-func NewEvaluatorWithCache(db *tech.Database, params packaging.Params, cacheSize int) (*Evaluator, error) {
-	return NewEvaluatorWithCaches(db, params, cacheSize, DefaultPartialsCacheSize)
-}
-
-// DefaultPartialsCacheSize bounds the packaging-partial and NRE-term
-// memo tables when the caller does not size them explicitly. An
-// innermost-axis run shares one (scheme, area, count) key per point
-// across both engines, so the working set is roughly one entry per
-// in-flight point — 8k entries comfortably covers a slab-dispatched
-// sweep while staying a few hundred kilobytes.
+// DefaultPartialsCacheSize used to bound the packaging-partial and
+// NRE-term memo tables.
+//
+// Deprecated: the evaluator no longer memoizes; the constant survives
+// only for the benchmark harness and will be removed.
 const DefaultPartialsCacheSize = 8192
 
-// NewEvaluatorWithCaches additionally bounds the partial caches: one
-// packaging partial cache shared by the cost and NRE engines (so each
-// sweep point prices its package geometry once, not once per engine)
-// and the NRE engine's uniform-term cache. partialsSize ≤ 0 disables
-// partial memoization; the closed-form uniform fast path still runs,
-// just cache-less.
+// NewEvaluatorWithCaches is NewEvaluator; both sizes are ignored.
+//
+// Deprecated: the evaluator no longer memoizes; use NewEvaluator. This
+// shim survives only for the benchmark harness and will be removed.
 func NewEvaluatorWithCaches(db *tech.Database, params packaging.Params, cacheSize, partialsSize int) (*Evaluator, error) {
-	pc := packaging.NewPartialCache(partialsSize)
-	ce, err := cost.NewEngineWithCaches(db, params, cacheSize, pc)
-	if err != nil {
-		return nil, err
-	}
-	ne, err := nre.NewEngineWithCaches(db, params, pc, partialsSize)
-	if err != nil {
-		return nil, err
-	}
-	return &Evaluator{Cost: ce, NRE: ne, partials: pc}, nil
+	return NewEvaluator(db, params)
 }
 
-// PartialsStats reports the partial-memoization counters: the shared
-// packaging partial cache and the NRE uniform-term cache. Both are
-// zero when partial caching is disabled.
+// PartialsStats used to report the partial-memoization counters.
+//
+// Deprecated: the evaluator no longer memoizes, so every counter reads
+// zero. The type survives only for the benchmark harness and will be
+// removed.
 type PartialsStats struct {
-	Packaging memo.Stats
-	NRE       memo.Stats
+	Packaging struct{ Hits, Misses int64 }
+	NRE       struct{ Hits, Misses int64 }
 }
 
-// PartialsCacheStats snapshots the evaluator's partial caches.
-func (e *Evaluator) PartialsCacheStats() PartialsStats {
-	return PartialsStats{
-		Packaging: e.partials.Stats(),
-		NRE:       e.NRE.CacheStats(),
-	}
-}
+// PartialsCacheStats returns the zero value.
+//
+// Deprecated: the evaluator no longer memoizes; see PartialsStats.
+func (e *Evaluator) PartialsCacheStats() PartialsStats { return PartialsStats{} }
 
 // TotalCost is the complete per-unit engineering cost of one system.
 type TotalCost struct {

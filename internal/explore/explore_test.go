@@ -426,16 +426,11 @@ func TestSensitivitySwing(t *testing.T) {
 
 // TestSingleUniformMatchesPortfolio diffs Single's uniform fast path
 // (one shape detection shared by both engines) against a one-member
-// Portfolio on a cache-less evaluator (general NRE walk, RE detecting
-// its own shape): identical breakdowns bit for bit on every scheme and
-// width, cold and cache-warm, and identical error text where either
-// path fails.
+// Portfolio (general NRE walk, RE detecting its own shape): identical
+// breakdowns bit for bit on every scheme and width, and identical
+// error text where either path fails.
 func TestSingleUniformMatchesPortfolio(t *testing.T) {
-	fast, err := NewEvaluatorWithCaches(tech.Default(), packaging.DefaultParams(), 256, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := evaluator(t)
+	e := evaluator(t)
 	var systems []system.System
 	for _, area := range []float64{50, 400, 800} {
 		systems = append(systems, system.Monolithic("soc", "7nm", area, 1e5))
@@ -458,33 +453,28 @@ func TestSingleUniformMatchesPortfolio(t *testing.T) {
 			t.Fatalf("%q: not uniform", s.Name)
 		}
 		for _, policy := range []nre.Policy{nre.PerSystemUnit, nre.PerInstance} {
-			for pass := 0; pass < 2; pass++ { // cold, then cache-warm
-				got, gotErr := fast.Single(s, policy)
-				m, wantErr := ref.Portfolio([]system.System{s}, policy)
-				if (gotErr == nil) != (wantErr == nil) {
-					t.Fatalf("%q: Single err %v, Portfolio err %v", s.Name, gotErr, wantErr)
+			got, gotErr := e.Single(s, policy)
+			m, wantErr := e.Portfolio([]system.System{s}, policy)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("%q: Single err %v, Portfolio err %v", s.Name, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				if gotErr.Error() != wantErr.Error() {
+					t.Fatalf("%q: Single err %q, Portfolio err %q", s.Name, gotErr, wantErr)
 				}
-				if gotErr != nil {
-					if gotErr.Error() != wantErr.Error() {
-						t.Fatalf("%q: Single err %q, Portfolio err %q", s.Name, gotErr, wantErr)
-					}
-					continue
-				}
-				if want := m[s.Name]; !reflect.DeepEqual(got, want) {
-					t.Fatalf("%q policy %v pass %d: Single %+v, Portfolio %+v", s.Name, policy, pass, got, want)
-				}
+				continue
+			}
+			if want := m[s.Name]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q policy %v: Single %+v, Portfolio %+v", s.Name, policy, got, want)
 			}
 		}
 	}
 }
 
-// TestSingleUniformAllocs pins Single on a cache-warm uniform point to
-// one allocation: the per-die detail slice of the RE breakdown.
+// TestSingleUniformAllocs pins Single on a uniform point to one
+// allocation: the per-die detail slice of the RE breakdown.
 func TestSingleUniformAllocs(t *testing.T) {
-	e, err := NewEvaluatorWithCaches(tech.Default(), packaging.DefaultParams(), 256, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := evaluator(t)
 	s, err := system.PartitionEqual("p", "5nm", 800, 4, packaging.MCM, dtod.Fraction{F: 0.1}, 1e6)
 	if err != nil {
 		t.Fatal(err)
@@ -498,21 +488,17 @@ func TestSingleUniformAllocs(t *testing.T) {
 		}
 	})
 	if allocs > 1 {
-		t.Errorf("%.2f allocs per cache-warm Single, want ≤ 1", allocs)
+		t.Errorf("%.2f allocs per Single, want ≤ 1", allocs)
 	}
 }
 
-// TestTinyCachesMatchPortfolio walks a random grid on 4 goroutines
-// through one evaluator whose KGD, packaging-partial and NRE-term
-// caches hold 16 entries each, so lookups keep meeting conflict
-// evictions and in-place overwrites. Every result must equal the
-// cache-less one-member Portfolio bit for bit, error text included.
-func TestTinyCachesMatchPortfolio(t *testing.T) {
-	tiny, err := NewEvaluatorWithCaches(tech.Default(), packaging.DefaultParams(), 16, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := evaluator(t)
+// TestRandomUniformSingleMatchesPortfolio walks 400 random uniform
+// points (179 of them failing: unknown node, no volume, infeasible
+// geometry) on 4 goroutines sharing one evaluator. Every uniform
+// Single answer must equal the one-member Portfolio bit for bit, error
+// text included.
+func TestRandomUniformSingleMatchesPortfolio(t *testing.T) {
+	e := evaluator(t)
 	rng := rand.New(rand.NewSource(16))
 	nodes := []string{"5nm", "7nm", "14nm", "1nm"} // 1nm is unknown
 	schemes := []packaging.Scheme{packaging.SoC, packaging.MCM, packaging.InFO, packaging.TwoPointFiveD}
@@ -522,6 +508,7 @@ func TestTinyCachesMatchPortfolio(t *testing.T) {
 	}
 	var systems []system.System
 	var wants []want
+	failing := 0
 	for len(systems) < 400 {
 		k := 1 + rng.Intn(6)
 		scheme := schemes[rng.Intn(len(schemes))]
@@ -534,40 +521,39 @@ func TestTinyCachesMatchPortfolio(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := ref.Portfolio([]system.System{s}, nre.PerSystemUnit)
+		m, err := e.Portfolio([]system.System{s}, nre.PerSystemUnit)
 		w := want{tc: m[s.Name]}
 		if err != nil {
 			w.err = err.Error()
+			failing++
 		}
 		systems = append(systems, s)
 		wants = append(wants, w)
+	}
+	if failing != 179 {
+		t.Fatalf("%d failing points, want 179", failing)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for pass := 0; pass < 3; pass++ {
-				for j := range systems {
-					i := (j*(2*g+1) + pass) % len(systems)
-					got, err := tiny.Single(systems[i], nre.PerSystemUnit)
-					w := wants[i]
-					if err != nil || w.err != "" {
-						if err == nil || err.Error() != w.err {
-							t.Errorf("system %d: Single err %v, Portfolio err %q", i, err, w.err)
-						}
-						continue
+			// Each goroutine starts a quarter of the way further in.
+			for j := range systems {
+				i := (j + g*len(systems)/4) % len(systems)
+				got, err := e.Single(systems[i], nre.PerSystemUnit)
+				w := wants[i]
+				if err != nil || w.err != "" {
+					if err == nil || err.Error() != w.err {
+						t.Errorf("system %d: Single err %v, Portfolio err %q", i, err, w.err)
 					}
-					if !reflect.DeepEqual(got, w.tc) {
-						t.Errorf("system %d: Single %+v, Portfolio %+v", i, got, w.tc)
-					}
+					continue
+				}
+				if !reflect.DeepEqual(got, w.tc) {
+					t.Errorf("system %d: Single %+v, Portfolio %+v", i, got, w.tc)
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	st := tiny.PartialsCacheStats()
-	if st.Packaging.Evictions == 0 || st.NRE.Evictions == 0 {
-		t.Errorf("16-entry caches never evicted: %+v", st)
-	}
 }

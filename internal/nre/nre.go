@@ -121,12 +121,6 @@ type Result struct {
 type Engine struct {
 	db     *tech.Database
 	params packaging.Params
-	// partials routes package geometry probes through a shared
-	// packaging partial cache; uni memoizes the quantity-independent
-	// NRE terms of uniform sweep candidates. Both are nil (disabled)
-	// unless the engine is built with NewEngineWithCaches.
-	partials *packaging.PartialCache
-	uni      *uniformCache
 }
 
 // NewEngine builds an NRE engine.

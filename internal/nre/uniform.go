@@ -2,112 +2,19 @@ package nre
 
 import (
 	"fmt"
-	"math"
 
-	"chipletactuary/internal/memo"
 	"chipletactuary/internal/packaging"
 	"chipletactuary/internal/system"
-	"chipletactuary/internal/tech"
 )
 
-// uniformKey names the axes one uniform system's NRE terms actually
-// depend on: the node (module/chip/D2D cost factors), the scheme and
-// flow (package NRE factors and geometry), the per-chiplet areas, and
-// the partition width. The system name and quantity are deliberately
-// excluded — they only label and amortize the cached terms.
-type uniformKey struct {
-	node       string
-	scheme     packaging.Scheme
-	flow       packaging.Flow
-	k          int
-	moduleArea float64
-	d2dArea    float64
-}
-
-// uniformKeyHash is inline FNV-1a over the key's fields. memo
-// finalizes it before picking a shard and set, so it only has to be
-// cheap and collision-light.
-func uniformKeyHash(k uniformKey) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(k.node); i++ {
-		h = (h ^ uint64(k.node[i])) * 1099511628211
-	}
-	h = (h ^ (uint64(k.scheme)<<24 | uint64(k.flow)<<16 | uint64(uint16(k.k)))) * 1099511628211
-	h = (h ^ math.Float64bits(k.moduleArea)) * 1099511628211
-	h = (h ^ math.Float64bits(k.d2dArea)) * 1099511628211
-	return h
-}
-
-// uniformEntry caches everything quantity-independent about one
-// uniform shape: the un-amortized per-design costs and the errors
-// that are fully determined by the key.
-type uniformEntry struct {
-	nodeErr    error // unknown node; wrapped with system/chiplet names per call
+// uniformTerms is everything quantity-independent about one uniform
+// shape: the un-amortized per-design costs.
+type uniformTerms struct {
 	chipCost   float64
 	moduleCost float64
 	d2dCost    float64
 	hasD2D     bool
 	pkgCost    float64
-	pkgErr     error
-}
-
-// uniformCache bounds the NRE term memo table.
-type uniformCache = memo.Cache[uniformKey, uniformEntry]
-
-// NewEngineWithCaches builds an engine whose uniform-shape NRE terms
-// are memoized (cacheSize entries; ≤ 0 disables) and whose package
-// geometry probes go through the given partial cache — typically the
-// same instance the evaluator's cost engine uses, so a sweep point
-// prices its package once across both engines. A nil partials cache
-// just disables that sharing.
-func NewEngineWithCaches(db *tech.Database, params packaging.Params, partials *packaging.PartialCache, cacheSize int) (*Engine, error) {
-	e, err := NewEngine(db, params)
-	if err != nil {
-		return nil, err
-	}
-	e.partials = partials
-	e.uni = memo.New[uniformKey, uniformEntry](cacheSize, uniformKeyHash)
-	return e, nil
-}
-
-// CacheStats reports the uniform-term cache's counters (zero when
-// disabled).
-func (e *Engine) CacheStats() memo.Stats { return e.uni.Stats() }
-
-// computeUniform fills a uniformEntry from scratch.
-func (e *Engine) computeUniform(k uniformKey) uniformEntry {
-	node, err := e.db.Node(k.node)
-	if err != nil {
-		return uniformEntry{nodeErr: err}
-	}
-	// dieArea reconstructed in Chiplet.DieArea's add order.
-	dieArea := k.moduleArea + k.d2dArea
-	ent := uniformEntry{
-		chipCost:   node.Kc*dieArea + node.FixedChipNRE,
-		moduleCost: node.Km * k.moduleArea,
-		d2dCost:    node.D2DNRE,
-		hasD2D:     k.d2dArea > 0,
-	}
-	// Total die area exactly as Assembly.TotalDieArea sums it: k
-	// in-order additions.
-	var totalDie float64
-	for i := 0; i < k.k; i++ {
-		totalDie += dieArea
-	}
-	pt, err := packaging.CachedPartial(e.partials, e.params, e.db, packaging.PartialKey{
-		Scheme:          k.scheme,
-		Flow:            k.flow,
-		Dies:            k.k,
-		TotalDieAreaMM2: totalDie,
-	})
-	if err != nil {
-		ent.pkgErr = err
-		return ent
-	}
-	geom := pt.Result.SubstrateAreaMM2 + pt.Result.InterposerAreaMM2
-	kp, fixed := k.scheme.NREFactors()
-	ent.pkgCost = kp*geom + fixed
-	return ent
 }
 
 // EvaluateUniform computes the per-unit NRE breakdown of a uniform
@@ -116,29 +23,31 @@ func (e *Engine) computeUniform(k uniformKey) uniformEntry {
 // messages and their ordering. Callers must pass a u obtained from
 // system.AsUniform(s).
 func (e *Engine) EvaluateUniform(s system.System, u system.Uniform, policy Policy) (Breakdown, error) {
-	key := uniformKey{
-		node:       u.Node,
-		scheme:     s.Scheme,
-		flow:       s.Flow,
-		k:          u.K,
-		moduleArea: u.ModuleAreaMM2,
-		d2dArea:    u.D2DAreaMM2,
-	}
-	ent, ok := e.uni.Get(key)
-	if !ok {
-		ent = e.computeUniform(key)
-		e.uni.Put(key, ent)
-	}
 	// Error order mirrors the general path: validation (unknown node,
 	// negative quantity), then package geometry, then amortization.
-	if ent.nodeErr != nil {
-		return Breakdown{}, system.WrapUniformNodeErr(s, ent.nodeErr)
+	node, err := e.db.Node(u.Node)
+	if err != nil {
+		return Breakdown{}, system.WrapUniformNodeErr(s, err)
 	}
 	if s.Quantity < 0 {
 		return Breakdown{}, fmt.Errorf("system: %q has negative quantity %v", s.Name, s.Quantity)
 	}
-	if ent.pkgErr != nil {
-		return Breakdown{}, ent.pkgErr
+	// dieArea reconstructed in Chiplet.DieArea's add order, and the
+	// total die area exactly as Assembly.TotalDieArea sums it: k
+	// in-order additions.
+	dieArea := u.ModuleAreaMM2 + u.D2DAreaMM2
+	var totalDie float64
+	for i := 0; i < u.K; i++ {
+		totalDie += dieArea
+	}
+	pt, err := packaging.PartialFor(e.params, e.db, packaging.PartialKey{
+		Scheme:          s.Scheme,
+		Flow:            s.Flow,
+		Dies:            u.K,
+		TotalDieAreaMM2: totalDie,
+	})
+	if err != nil {
+		return Breakdown{}, err
 	}
 	q := s.Quantity
 	if q == 0 {
@@ -153,12 +62,20 @@ func (e *Engine) EvaluateUniform(s system.System, u system.Uniform, policy Polic
 		}
 		return Breakdown{}, fmt.Errorf("nre: design %q has no production volume to amortize over", "chip/"+min)
 	}
-	return amortizeUniform(ent, u.K, q, policy), nil
+	kp, fixed := s.Scheme.NREFactors()
+	t := uniformTerms{
+		chipCost:   node.Kc*dieArea + node.FixedChipNRE,
+		moduleCost: node.Km * u.ModuleAreaMM2,
+		d2dCost:    node.D2DNRE,
+		hasD2D:     u.D2DAreaMM2 > 0,
+		pkgCost:    kp*(pt.Result.SubstrateAreaMM2+pt.Result.InterposerAreaMM2) + fixed,
+	}
+	return amortizeUniform(t, u.K, q, policy), nil
 }
 
-// amortizeUniform spreads a cached uniform entry's per-design costs
-// over the production volume.
-func amortizeUniform(ent uniformEntry, k int, q float64, policy Policy) Breakdown {
+// amortizeUniform spreads a uniform shape's per-design costs over the
+// production volume.
+func amortizeUniform(ent uniformTerms, k int, q float64, policy Policy) Breakdown {
 	var b Breakdown
 	switch policy {
 	case PerInstance:

@@ -6,25 +6,14 @@ import (
 	"chipletactuary/internal/dtod"
 	"chipletactuary/internal/packaging"
 	"chipletactuary/internal/system"
-	"chipletactuary/internal/tech"
 )
 
-func cachedEngine(t *testing.T) *Engine {
-	t.Helper()
-	e, err := NewEngineWithCaches(tech.Default(), packaging.DefaultParams(), packaging.NewPartialCache(512), 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
-
 // TestEvaluateUniformMatchesPortfolio sweeps the uniform-partition
-// shapes the generator emits and checks the memoized fast path against
-// the full portfolio walk bit for bit — breakdowns with ==, errors by
-// message — under both amortization policies, cold and warm.
+// shapes the generator emits and checks the closed-form fast path
+// against the full portfolio walk bit for bit — breakdowns with ==,
+// errors by message — under both amortization policies.
 func TestEvaluateUniformMatchesPortfolio(t *testing.T) {
-	fast := cachedEngine(t)
-	slow := engine(t)
+	e := engine(t)
 	checked := 0
 	for _, node := range []string{"5nm", "7nm", "14nm", "28nm", "no-such-node"} {
 		for _, scheme := range packaging.Schemes {
@@ -42,27 +31,25 @@ func TestEvaluateUniformMatchesPortfolio(t *testing.T) {
 								if !ok {
 									t.Fatalf("PartitionEqual point not uniform: %s %v k=%d", node, scheme, k)
 								}
-								for pass := 0; pass < 2; pass++ {
-									got, gerr := fast.EvaluateUniform(s, u, policy)
-									wantRes, werr := slow.Single(s, policy)
-									if (gerr == nil) != (werr == nil) {
-										t.Fatalf("%s/%v/%v k=%d q=%v %v pass %d: err %v vs %v",
-											node, scheme, flow, k, q, policy, pass, gerr, werr)
-									}
-									if gerr != nil {
-										if gerr.Error() != werr.Error() {
-											t.Fatalf("%s/%v/%v k=%d q=%v %v: error %q, want %q",
-												node, scheme, flow, k, q, policy, gerr, werr)
-										}
-										continue
-									}
-									want := wantRes.PerUnit[s.Name]
-									if got != want {
-										t.Fatalf("%s/%v/%v k=%d q=%v %v pass %d:\n got %+v\nwant %+v",
-											node, scheme, flow, k, q, policy, pass, got, want)
-									}
-									checked++
+								got, gerr := e.EvaluateUniform(s, u, policy)
+								wantRes, werr := e.Single(s, policy)
+								if (gerr == nil) != (werr == nil) {
+									t.Fatalf("%s/%v/%v k=%d q=%v %v: err %v vs %v",
+										node, scheme, flow, k, q, policy, gerr, werr)
 								}
+								if gerr != nil {
+									if gerr.Error() != werr.Error() {
+										t.Fatalf("%s/%v/%v k=%d q=%v %v: error %q, want %q",
+											node, scheme, flow, k, q, policy, gerr, werr)
+									}
+									continue
+								}
+								want := wantRes.PerUnit[s.Name]
+								if got != want {
+									t.Fatalf("%s/%v/%v k=%d q=%v %v:\n got %+v\nwant %+v",
+										node, scheme, flow, k, q, policy, got, want)
+								}
+								checked++
 							}
 						}
 					}
@@ -72,8 +59,5 @@ func TestEvaluateUniformMatchesPortfolio(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no successful points compared")
-	}
-	if st := fast.CacheStats(); st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("uniform cache never exercised: %+v", st)
 	}
 }

@@ -2,9 +2,7 @@ package packaging
 
 import (
 	"fmt"
-	"math"
 
-	"chipletactuary/internal/memo"
 	"chipletactuary/internal/tech"
 	"chipletactuary/internal/yield"
 )
@@ -111,9 +109,7 @@ func (r Result) Total() float64 {
 // geometry, yields, and per-package costs — everything in Result
 // except WastedKGD, which additionally scales with the total KGD cost
 // of the dies entering assembly. Two assemblies with equal keys
-// produce bit-identical Results once WastedKGD is applied, so the key
-// is exactly the memoization key for the sweep hot path: within an
-// innermost-axis run, adjacent candidates share (scheme, area, count).
+// produce bit-identical Results once WastedKGD is applied.
 type PartialKey struct {
 	Scheme Scheme
 	Flow   Flow
@@ -124,51 +120,6 @@ type PartialKey struct {
 	TotalDieAreaMM2       float64
 	FootprintOverrideMM2  float64
 	InterposerOverrideMM2 float64
-}
-
-// Hash combines the key's fields word by word (xor, then multiply by
-// the 64-bit FNV prime). memo finalizes the result before picking a
-// shard and set, so the hash only has to keep distinct keys apart,
-// not avalanche.
-func (k PartialKey) Hash() uint64 {
-	const prime64 = 1099511628211
-	h := (uint64(k.Scheme)<<32 | uint64(k.Flow)<<16 | uint64(uint32(k.Dies))) * prime64
-	h = (h ^ math.Float64bits(k.TotalDieAreaMM2)) * prime64
-	h = (h ^ math.Float64bits(k.FootprintOverrideMM2)) * prime64
-	h = (h ^ math.Float64bits(k.InterposerOverrideMM2)) * prime64
-	return h
-}
-
-// PartialOutcome is the memoized outcome of PartialFor. Errors are
-// fully determined by the key (scheme, flow, geometry feasibility),
-// so negative outcomes replay exactly; the cached error value is
-// never mutated and is safe to return to many callers.
-type PartialOutcome struct {
-	Partial Partial
-	Err     error
-}
-
-// PartialCache memoizes packaging partials. One instance is shared by
-// the cost and NRE engines of an evaluator so that a sweep point's
-// NRE geometry probe warms the cache for its RE evaluation (and
-// vice versa), halving packaging work per point even when no two
-// points share a key.
-type PartialCache = memo.Cache[PartialKey, PartialOutcome]
-
-// NewPartialCache builds a bounded partial cache; max < 1 returns the
-// nil (disabled) cache, on which CachedPartial degrades to PartialFor.
-func NewPartialCache(max int) *PartialCache {
-	return memo.New[PartialKey, PartialOutcome](max, PartialKey.Hash)
-}
-
-// CachedPartial is PartialFor through a (possibly nil) cache.
-func CachedPartial(c *PartialCache, p Params, db *tech.Database, k PartialKey) (Partial, error) {
-	if out, ok := c.Get(k); ok {
-		return out.Partial, out.Err
-	}
-	pt, err := PartialFor(p, db, k)
-	c.Put(k, PartialOutcome{Partial: pt, Err: err})
-	return pt, err
 }
 
 // Partial is the KGD-independent part of a packaging evaluation: the
@@ -193,8 +144,7 @@ func (pt Partial) Apply(totalKGD float64) Result {
 // PartialFor computes the KGD-independent packaging partial for a
 // key. It assumes validated Params and a well-formed assembly shape
 // (the engines guarantee both); errors still cover scheme/flow/
-// geometry feasibility and depend only on the key, so cached error
-// outcomes replay exactly.
+// geometry feasibility and depend only on the key.
 func PartialFor(p Params, db *tech.Database, k PartialKey) (Partial, error) {
 	switch k.Scheme {
 	case SoC, MCM:

@@ -48,9 +48,6 @@ func TestMetriczEndpoint(t *testing.T) {
 		t.Errorf("streams = %d/%d started/completed, want 1/1",
 			snap.Session.StreamsStarted, snap.Session.StreamsCompleted)
 	}
-	if snap.Cache.Misses == 0 {
-		t.Error("evaluation left no KGD cache traffic")
-	}
 
 	// The text endpoint and the snapshot must agree on worker width.
 	textResp, err := http.Get(ts.URL + "/metrics")

@@ -11,7 +11,7 @@
 //	POST /v1/stream     scenario JSON (ScenarioConfig) in, NDJSON Results out
 //	GET  /v1/questions  the evaluation API, self-described
 //	GET  /healthz       liveness
-//	GET  /metrics       Prometheus text: back-pressure + cache counters
+//	GET  /metrics       Prometheus text: back-pressure counters
 //	GET  /v1/metricz    the same counters as one canonical-JSON snapshot
 //
 // /v1/stream accepts exactly the scenario files cmd/actuary -scenario
@@ -67,8 +67,7 @@ type Server struct {
 }
 
 // New builds a Server around an existing Session. The Session is
-// shared: its worker pool, KGD cache and metrics serve every
-// connection.
+// shared: its worker pool and metrics serve every connection.
 func New(session *actuary.Session, opts ...Option) *Server {
 	s := &Server{session: session, maxBody: DefaultMaxBodyBytes}
 	for _, opt := range opts {
@@ -238,11 +237,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // handleMetrics answers GET /metrics in Prometheus text exposition
 // format: the session's back-pressure counters (queue depth,
-// in-flight, worker utilization, per-question latency) plus the KGD
-// cache counters.
+// in-flight, worker utilization, per-question latency).
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	m := s.session.Metrics()
-	cache := s.session.CacheStats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 
 	var b strings.Builder
@@ -285,9 +282,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 
-	counter("actuary_kgd_cache_hits_total", "Shared die-cost cache hits.", float64(cache.Hits))
-	counter("actuary_kgd_cache_misses_total", "Shared die-cost cache misses.", float64(cache.Misses))
-	gauge("actuary_kgd_cache_entries", "Shared die-cost cache entries.", float64(cache.Entries))
 	_, _ = io.WriteString(w, b.String())
 }
 

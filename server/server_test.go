@@ -260,11 +260,14 @@ func TestMetricsEndpoint(t *testing.T) {
 		"actuary_queue_depth_max 1",
 		"actuary_worker_utilization",
 		`actuary_requests_total{question="total-cost"} 1`,
-		"actuary_kgd_cache_misses_total",
+		"actuary_workers",
 	} {
 		if !strings.Contains(text, series) {
 			t.Errorf("metrics output lacks %q:\n%s", series, text)
 		}
+	}
+	if strings.Contains(text, "cache") {
+		t.Errorf("metrics output still exports cache series:\n%s", text)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"chipletactuary/internal/cost"
 	"chipletactuary/internal/explore"
 	"chipletactuary/internal/packaging"
 	"chipletactuary/internal/sweep"
@@ -17,9 +16,6 @@ import (
 // PartitionPoint is one entry of a chiplet-count sweep (see
 // Session.Evaluate with QuestionOptimalChipletCount).
 type PartitionPoint = explore.PartitionPoint
-
-// KGDCacheStats reports the shared die-cost cache's counters.
-type KGDCacheStats = cost.CacheStats
 
 // Question selects what a Request asks about.
 type Question int
@@ -258,17 +254,13 @@ type SweepBest struct {
 type Option func(*sessionConfig)
 
 type sessionConfig struct {
-	db           *TechDatabase
-	params       PackagingParams
-	hasParams    bool
-	workers      int
-	minWorkers   int
-	maxWorkers   int
-	hasBounds    bool
-	cacheSize    int
-	hasCacheSz   bool
-	partialsSize int
-	hasPartials  bool
+	db         *TechDatabase
+	params     PackagingParams
+	hasParams  bool
+	workers    int
+	minWorkers int
+	maxWorkers int
+	hasBounds  bool
 }
 
 // WithTech selects the technology database (default: the built-in
@@ -301,41 +293,8 @@ func WithWorkerBounds(min, max int) Option {
 	return func(c *sessionConfig) { c.minWorkers, c.maxWorkers, c.hasBounds = min, max, true }
 }
 
-// WithCacheSize bounds the shared known-good-die cost cache (entries,
-// not bytes). The default is 4096; 0 disables memoization entirely.
-func WithCacheSize(n int) Option {
-	return func(c *sessionConfig) { c.cacheSize = n; c.hasCacheSz = true }
-}
-
-// DefaultCacheSize is the KGD cache bound used when WithCacheSize is
-// not given. A sweep touches one cache entry per distinct die shape,
-// so 4096 covers even the Figure 10 portfolio workloads many times
-// over.
-const DefaultCacheSize = 4096
-
-// WithPartialsCacheSize bounds the evaluator's partial-result caches
-// (entries, not bytes): the packaging geometry/yield partials shared
-// by the RE and NRE engines, and the NRE uniform-term memo. The
-// default is DefaultPartialsCacheSize; 0 disables partial memoization
-// (the KGD cache is bounded separately by WithCacheSize).
-func WithPartialsCacheSize(n int) Option {
-	return func(c *sessionConfig) { c.partialsSize = n; c.hasPartials = true }
-}
-
-// DefaultPartialsCacheSize is the partials-cache bound used when
-// WithPartialsCacheSize is not given. A sweep touches one packaging
-// partial per distinct (scheme, flow, die count, total area) tuple and
-// one NRE entry per distinct (node, scheme, geometry) tuple, so 8192
-// holds every partial of the paper's sweep workloads at once.
-const DefaultPartialsCacheSize = explore.DefaultPartialsCacheSize
-
-// PartialsStats reports the partial-result caches' counters (see
-// Session.PartialsCacheStats).
-type PartialsStats = explore.PartialsStats
-
 // Session is the batch evaluation handle: a technology database and
-// packaging parameter set, a worker pool width, and a shared die-cost
-// cache. Apart from the worker-pool target width — which Resize moves
+// packaging parameter set, and a worker pool width. Apart from the worker-pool target width — which Resize moves
 // within the WithWorkerBounds range — a Session is immutable after
 // construction and safe for concurrent use; one Session is meant to
 // serve many Evaluate calls.
@@ -352,11 +311,10 @@ type Session struct {
 }
 
 // NewSession builds a Session. With no options it uses the built-in
-// technology database, calibrated packaging parameters, one worker per
-// CPU, and a DefaultCacheSize-entry KGD cache.
+// technology database, calibrated packaging parameters, and one worker
+// per CPU.
 func NewSession(opts ...Option) (*Session, error) {
-	cfg := sessionConfig{workers: runtime.GOMAXPROCS(0), cacheSize: DefaultCacheSize,
-		partialsSize: DefaultPartialsCacheSize}
+	cfg := sessionConfig{workers: runtime.GOMAXPROCS(0)}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -377,7 +335,7 @@ func NewSession(opts ...Option) (*Session, error) {
 		return nil, fmt.Errorf("actuary: invalid worker bounds [%d, %d] (want 1 ≤ min ≤ max)",
 			cfg.minWorkers, cfg.maxWorkers)
 	}
-	ev, err := explore.NewEvaluatorWithCaches(cfg.db, cfg.params, cfg.cacheSize, cfg.partialsSize)
+	ev, err := explore.NewEvaluator(cfg.db, cfg.params)
 	if err != nil {
 		return nil, err
 	}
@@ -427,16 +385,6 @@ func (s *Session) Packaging() PackagingParams { return s.params }
 // Evaluator exposes the underlying exploration evaluator for advanced
 // use (sensitivity studies, custom sweeps).
 func (s *Session) Evaluator() *explore.Evaluator { return s.ev }
-
-// CacheStats reports the shared KGD cache's hit/miss counters.
-func (s *Session) CacheStats() KGDCacheStats { return s.ev.Cost.CacheStats() }
-
-// PartialsCacheStats reports the partial-result caches' hit/miss
-// counters: the packaging geometry/yield partials shared by the RE and
-// NRE engines, and the NRE uniform-term memo. On sweep workloads the
-// hit rates should sit near 1 — a low rate means the working set
-// outgrew WithPartialsCacheSize.
-func (s *Session) PartialsCacheStats() PartialsStats { return s.ev.PartialsCacheStats() }
 
 // Evaluate answers a batch of requests, fanning them out over the
 // session's worker pool. Results come back in input order — result i

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -215,11 +216,12 @@ func TestSessionDeterministicOrdering(t *testing.T) {
 	}
 }
 
-// TestSessionCachedMatchesUncached runs the same batch on cached and
-// cache-disabled sessions and compares every answer.
-func TestSessionCachedMatchesUncached(t *testing.T) {
-	cached := newTestSession(t)
-	uncached := newTestSession(t, actuary.WithCacheSize(0))
+// TestSessionBatchMatchesPortfolio runs a batch of repeated uniform
+// shapes through the worker pool and diffs every answer against the
+// one-member Portfolio of the same system (the general NRE walk) bit
+// for bit.
+func TestSessionBatchMatchesPortfolio(t *testing.T) {
+	s := newTestSession(t)
 	var reqs []actuary.Request
 	for i := 0; i < 40; i++ {
 		reqs = append(reqs, actuary.Request{
@@ -227,27 +229,23 @@ func TestSessionCachedMatchesUncached(t *testing.T) {
 			System:   mcmSystem(t, "m", 400+float64(i%4)*100, 1+i%3, 1_000_000),
 		})
 	}
-	a := cached.Evaluate(context.Background(), reqs)
-	b := uncached.Evaluate(context.Background(), reqs)
-	for i := range reqs {
-		if a[i].Err != nil || b[i].Err != nil {
-			t.Fatalf("request %d failed: %v / %v", i, a[i].Err, b[i].Err)
+	got := s.Evaluate(context.Background(), reqs)
+	for i, r := range reqs {
+		if got[i].Err != nil {
+			t.Fatalf("request %d failed: %v", i, got[i].Err)
 		}
-		if a[i].TotalCost.Total() != b[i].TotalCost.Total() {
-			t.Errorf("request %d: cached %v != uncached %v",
-				i, a[i].TotalCost.Total(), b[i].TotalCost.Total())
+		m, err := s.Portfolio([]actuary.System{r.System}, actuary.PerSystemUnit)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if st := cached.CacheStats(); st.Hits == 0 {
-		t.Errorf("shared KGD cache saw no hits over a repetitive sweep: %+v", st)
-	}
-	if st := uncached.CacheStats(); st.Hits != 0 || st.Misses != 0 {
-		t.Errorf("disabled cache recorded traffic: %+v", st)
+		if want := m[r.System.Name]; !reflect.DeepEqual(*got[i].TotalCost, want) {
+			t.Errorf("request %d: batch %+v, Portfolio %+v", i, *got[i].TotalCost, want)
+		}
 	}
 }
 
 // TestSessionConcurrentEvaluate drives one session from several
-// goroutines at once (run with -race to check the shared cache).
+// goroutines at once (run with -race to check the shared state).
 func TestSessionConcurrentEvaluate(t *testing.T) {
 	s := newTestSession(t, actuary.WithWorkers(4))
 	reqs := make([]actuary.Request, 20)

@@ -979,8 +979,8 @@ func DecodeResults(data []byte) ([]Result, error) {
 }
 
 // MetricsSnapshot is the GET /v1/metricz payload: the session's
-// back-pressure counters, current worker width and KGD cache counters
-// as one canonical-JSON document — the programmatic face of the
+// back-pressure counters and current worker width as one
+// canonical-JSON document — the programmatic face of the
 // Prometheus text GET /metrics serves, and the preferred probe of
 // fleet.Monitor.
 type MetricsSnapshot struct {
@@ -989,8 +989,6 @@ type MetricsSnapshot struct {
 	// Workers is the pool's current target width (Session.Workers) —
 	// live, so an elastic daemon's resizes are observable.
 	Workers int
-	// Cache is the shared KGD cache's counters (Session.CacheStats).
-	Cache KGDCacheStats
 }
 
 // wireMetricsSnapshot is the canonical JSON shape of a
@@ -1009,9 +1007,6 @@ type wireMetricsSnapshot struct {
 	WorkerBusyNS      int64                 `json:"worker_busy_ns"`
 	WorkerTimeNS      int64                 `json:"worker_time_ns"`
 	PerQuestion       []wireQuestionMetrics `json:"per_question,omitempty"`
-	CacheHits         int64                 `json:"cache_hits"`
-	CacheMisses       int64                 `json:"cache_misses"`
-	CacheEntries      int                   `json:"cache_entries"`
 }
 
 // wireQuestionMetrics is the canonical JSON shape of one question's
@@ -1038,9 +1033,6 @@ func (m MetricsSnapshot) MarshalJSON() ([]byte, error) {
 		InFlightMax:       m.Session.InFlightMax,
 		WorkerBusyNS:      int64(m.Session.WorkerBusy),
 		WorkerTimeNS:      int64(m.Session.WorkerTime),
-		CacheHits:         m.Cache.Hits,
-		CacheMisses:       m.Cache.Misses,
-		CacheEntries:      m.Cache.Entries,
 	}
 	for _, q := range m.Session.PerQuestion {
 		w.PerQuestion = append(w.PerQuestion, wireQuestionMetrics{
@@ -1061,8 +1053,7 @@ func (m *MetricsSnapshot) UnmarshalJSON(data []byte) error {
 	}
 	for _, v := range []int64{int64(w.Workers), w.StreamsStarted, w.StreamsCompleted,
 		w.QueueDepth, w.QueueDepthMax, w.QueueDepthSamples, w.QueueDepthSum,
-		w.InFlight, w.InFlightMax, w.WorkerBusyNS, w.WorkerTimeNS,
-		w.CacheHits, w.CacheMisses, int64(w.CacheEntries)} {
+		w.InFlight, w.InFlightMax, w.WorkerBusyNS, w.WorkerTimeNS} {
 		if v < 0 {
 			return fmt.Errorf("actuary: metrics snapshot carries a negative counter")
 		}
@@ -1081,7 +1072,6 @@ func (m *MetricsSnapshot) UnmarshalJSON(data []byte) error {
 			WorkerBusy:        time.Duration(w.WorkerBusyNS),
 			WorkerTime:        time.Duration(w.WorkerTimeNS),
 		},
-		Cache: KGDCacheStats{Hits: w.CacheHits, Misses: w.CacheMisses, Entries: w.CacheEntries},
 	}
 	for _, q := range w.PerQuestion {
 		if q.Count < 0 || q.Failures < 0 || q.TotalNS < 0 || q.MaxNS < 0 {
@@ -1098,5 +1088,5 @@ func (m *MetricsSnapshot) UnmarshalJSON(data []byte) error {
 // MetricsSnapshotNow assembles the live snapshot of a session — the
 // document /v1/metricz serves.
 func MetricsSnapshotNow(s *Session) MetricsSnapshot {
-	return MetricsSnapshot{Session: s.Metrics(), Workers: s.Workers(), Cache: s.CacheStats()}
+	return MetricsSnapshot{Session: s.Metrics(), Workers: s.Workers()}
 }
