@@ -170,6 +170,29 @@ func TestSweepModeDefaultsAndErrors(t *testing.T) {
 	}
 }
 
+// TestSweepModeNonFiniteAreaRange feeds -area-range bounds and steps
+// that strconv.ParseFloat accepts but no axis can hold; each must fail
+// with an error, not panic.
+func TestSweepModeNonFiniteAreaRange(t *testing.T) {
+	for _, spec := range []string{"NaN:800:1", "100:NaN:1", "100:800:NaN", "100:Inf:1", "-Inf:800:1"} {
+		t.Run(spec, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("-area-range %s panicked: %v", spec, r)
+				}
+			}()
+			var buf bytes.Buffer
+			err := run(context.Background(), []string{"-mode", "sweep", "-area-range", spec}, &buf)
+			if err == nil {
+				t.Fatalf("-area-range %s accepted", spec)
+			}
+			if !strings.Contains(err.Error(), "must be finite") {
+				t.Errorf("-area-range %s: error %q", spec, err)
+			}
+		})
+	}
+}
+
 func TestSweepModeBackends(t *testing.T) {
 	args := func(extra ...string) []string {
 		return append([]string{"-mode", "sweep", "-nodes", "5nm,7nm",

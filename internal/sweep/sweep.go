@@ -110,15 +110,20 @@ func (g Grid) Validate() error {
 			return fmt.Errorf("sweep: grid %q has non-positive quantity %v", g.Name, q)
 		}
 	}
-	for axis, dup := range map[string]bool{
-		"nodes":      hasDup(g.Nodes),
-		"schemes":    hasDup(g.Schemes),
-		"areas":      hasDup(g.AreasMM2),
-		"counts":     hasDup(g.Counts),
-		"quantities": hasDup(g.Quantities),
+	// Axes in declaration order, so a grid with several duplicated
+	// axes always reports the first.
+	for _, ax := range []struct {
+		name string
+		dup  bool
+	}{
+		{"nodes", hasDup(g.Nodes)},
+		{"schemes", hasDup(g.Schemes)},
+		{"areas", hasDup(g.AreasMM2)},
+		{"counts", hasDup(g.Counts)},
+		{"quantities", hasDup(g.Quantities)},
 	} {
-		if dup {
-			return fmt.Errorf("sweep: grid %q has duplicate %s entries", g.Name, axis)
+		if ax.dup {
+			return fmt.Errorf("sweep: grid %q has duplicate %s entries", g.Name, ax.name)
 		}
 	}
 	return nil
@@ -699,9 +704,14 @@ func (it *Generator) aboveBound(p Point) bool {
 }
 
 // AreaRange expands an inclusive [lo, hi] module-area range with the
-// given step into an explicit axis. The step must be positive and the
-// range not inverted.
+// given step into an explicit axis. The bounds and step must be finite,
+// the step positive and the range not inverted.
 func AreaRange(loMM2, hiMM2, stepMM2 float64) ([]float64, error) {
+	for _, v := range []float64{loMM2, hiMM2, stepMM2} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("sweep: area range [%v, %v] step %v must be finite", loMM2, hiMM2, stepMM2)
+		}
+	}
 	if loMM2 <= 0 || hiMM2 < loMM2 {
 		return nil, fmt.Errorf("sweep: inverted or non-positive area range [%v, %v]", loMM2, hiMM2)
 	}

@@ -3,7 +3,9 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"chipletactuary/internal/dtod"
@@ -162,32 +164,53 @@ func TestGridPrunesUnbuildableCombos(t *testing.T) {
 }
 
 func TestGridValidate(t *testing.T) {
+	// want, when set, is the exact message; it is checked on 100
+	// consecutive calls, so an axis picked in random order shows.
 	cases := []struct {
 		name   string
 		mutate func(*Grid)
+		want   string
 	}{
-		{"no nodes", func(g *Grid) { g.Nodes = nil }},
-		{"empty node", func(g *Grid) { g.Nodes = []string{""} }},
-		{"no schemes", func(g *Grid) { g.Schemes = nil }},
-		{"no areas", func(g *Grid) { g.AreasMM2 = nil }},
-		{"bad area", func(g *Grid) { g.AreasMM2 = []float64{-4} }},
-		{"no counts", func(g *Grid) { g.Counts = nil }},
-		{"bad count", func(g *Grid) { g.Counts = []int{0} }},
-		{"no quantities", func(g *Grid) { g.Quantities = nil }},
-		{"bad quantity", func(g *Grid) { g.Quantities = []float64{0} }},
-		{"soc multichip", func(g *Grid) { g.Schemes = []packaging.Scheme{packaging.SoC} }},
-		{"duplicate node", func(g *Grid) { g.Nodes = []string{"5nm", "5nm"} }},
-		{"duplicate scheme", func(g *Grid) { g.Schemes = []packaging.Scheme{packaging.MCM, packaging.MCM} }},
-		{"duplicate area", func(g *Grid) { g.AreasMM2 = []float64{400, 400} }},
-		{"duplicate count", func(g *Grid) { g.Counts = []int{2, 2} }},
-		{"duplicate quantity", func(g *Grid) { g.Quantities = []float64{5, 5} }},
+		{"no nodes", func(g *Grid) { g.Nodes = nil }, ""},
+		{"empty node", func(g *Grid) { g.Nodes = []string{""} }, ""},
+		{"no schemes", func(g *Grid) { g.Schemes = nil }, ""},
+		{"no areas", func(g *Grid) { g.AreasMM2 = nil }, ""},
+		{"bad area", func(g *Grid) { g.AreasMM2 = []float64{-4} }, ""},
+		{"no counts", func(g *Grid) { g.Counts = nil }, ""},
+		{"bad count", func(g *Grid) { g.Counts = []int{0} }, ""},
+		{"no quantities", func(g *Grid) { g.Quantities = nil }, ""},
+		{"bad quantity", func(g *Grid) { g.Quantities = []float64{0} }, ""},
+		{"soc multichip", func(g *Grid) { g.Schemes = []packaging.Scheme{packaging.SoC} }, ""},
+		{"duplicate node", func(g *Grid) { g.Nodes = []string{"5nm", "5nm"} },
+			`sweep: grid "g" has duplicate nodes entries`},
+		{"duplicate scheme", func(g *Grid) { g.Schemes = []packaging.Scheme{packaging.MCM, packaging.MCM} },
+			`sweep: grid "g" has duplicate schemes entries`},
+		{"duplicate area", func(g *Grid) { g.AreasMM2 = []float64{400, 400} },
+			`sweep: grid "g" has duplicate areas entries`},
+		{"duplicate count", func(g *Grid) { g.Counts = []int{2, 2} },
+			`sweep: grid "g" has duplicate counts entries`},
+		{"duplicate quantity", func(g *Grid) { g.Quantities = []float64{5, 5} },
+			`sweep: grid "g" has duplicate quantities entries`},
+		{"duplicate node and area", func(g *Grid) {
+			g.Nodes = []string{"5nm", "5nm"}
+			g.AreasMM2 = []float64{400, 400}
+		}, `sweep: grid "g" has duplicate nodes entries`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			g := testGrid()
 			tc.mutate(&g)
-			if err := g.Validate(); err == nil {
-				t.Errorf("invalid grid accepted")
+			err := g.Validate()
+			if err == nil {
+				t.Fatalf("invalid grid accepted")
+			}
+			if tc.want == "" {
+				return
+			}
+			for i := 0; i < 100; i++ {
+				if err := g.Validate(); err == nil || err.Error() != tc.want {
+					t.Fatalf("call %d: error %v, want %q", i, err, tc.want)
+				}
 			}
 		})
 	}
@@ -209,6 +232,35 @@ func TestAreaRange(t *testing.T) {
 		if _, err := AreaRange(bad[0], bad[1], bad[2]); err == nil {
 			t.Errorf("AreaRange(%v) accepted", bad)
 		}
+	}
+}
+
+// TestAreaRangeNonFinite checks that a NaN or infinite bound or step
+// is an error, not a makeslice panic: NaN slips past every ordered
+// comparison.
+func TestAreaRangeNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name         string
+		lo, hi, step float64
+	}{
+		{"NaN lo", nan, 800, 1},
+		{"NaN hi", 100, nan, 1},
+		{"NaN step", 100, 800, nan},
+		{"+Inf hi", 100, inf, 1},
+		{"-Inf lo", -inf, 800, 1},
+		{"+Inf lo and hi", inf, inf, 1},
+		{"+Inf step", 100, 800, inf},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			axis, err := AreaRange(tc.lo, tc.hi, tc.step)
+			if err == nil {
+				t.Fatalf("AreaRange(%v, %v, %v) = %v, want an error", tc.lo, tc.hi, tc.step, axis)
+			}
+			if !strings.Contains(err.Error(), "must be finite") {
+				t.Errorf("error %q does not name the non-finite input", err)
+			}
+		})
 	}
 }
 
