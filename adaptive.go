@@ -16,8 +16,7 @@ import (
 // the same generator (with the stage's plan installed as a Select
 // filter and the cost lower bound as a Bound filter), the same
 // aggregators and ranking definitions, and for non-exact stages the
-// same streaming Evaluate fan-out (slab dispatch, partials cache,
-// elastic workers) — so adaptive answers inherit every invariant the
+// same streaming Evaluate fan-out (slab dispatch, elastic workers) — so adaptive answers inherit every invariant the
 // sweep path has: deterministic candidate numbering, exact per-shard
 // accounting, checkpoint/resume byte-identity.
 

@@ -46,10 +46,10 @@ func (f *flakyBackend) Stream(ctx context.Context, req client.StreamRequest) (<-
 	return f.inner.Stream(ctx, req)
 }
 
-// gatedBackend holds every Evaluate until open is closed, so a test
-// can make a failure on another backend happen before this one drains
-// the shard queue — without it, which backend runs out of work first
-// is a race.
+// gatedBackend holds every Evaluate and Stream until open is closed,
+// so a test can make a failure on another backend happen before this
+// one drains the shard queue — without it, which backend runs out of
+// work first is a race.
 type gatedBackend struct {
 	inner client.Backend
 	open  <-chan struct{}
@@ -65,6 +65,11 @@ func (g *gatedBackend) Evaluate(ctx context.Context, reqs []actuary.Request) ([]
 }
 
 func (g *gatedBackend) Stream(ctx context.Context, req client.StreamRequest) (<-chan actuary.Result, error) {
+	select {
+	case <-g.open:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 	return g.inner.Stream(ctx, req)
 }
 

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -162,11 +163,14 @@ func TestStreamRandomGridsProperty(t *testing.T) {
 }
 
 // truncatingBackend cuts every stream after `after` results — a
-// daemon whose connection keeps dying mid-response.
+// daemon whose connection keeps dying mid-response. When cut is
+// non-nil it is closed at the first cut.
 type truncatingBackend struct {
 	inner client.Backend
 	after int
 	cuts  atomic.Int32
+	cut   chan struct{}
+	once  sync.Once
 }
 
 func (b *truncatingBackend) Evaluate(ctx context.Context, reqs []actuary.Request) ([]actuary.Result, error) {
@@ -188,6 +192,9 @@ func (b *truncatingBackend) Stream(ctx context.Context, req client.StreamRequest
 		for r := range ch {
 			if sent >= b.after {
 				b.cuts.Add(1)
+				if b.cut != nil {
+					b.once.Do(func() { close(b.cut) })
+				}
 				cancel()
 				for range ch { // drain the canceled remainder
 				}
@@ -207,16 +214,18 @@ func (b *truncatingBackend) Stream(ctx context.Context, req client.StreamRequest
 // TestStreamSurvivesTruncatingBackend: shards lost to a backend whose
 // streams keep dying are re-dispatched from their watermark on the
 // healthy backend, and the merged stream still matches the
-// single-backend one exactly.
+// single-backend one exactly. The healthy backend is held until the
+// first cut: otherwise it can finish every shard, speculative copies
+// included, before the flaky one gets to cut anything.
 func TestStreamSurvivesTruncatingBackend(t *testing.T) {
 	cfg := streamScenario()
 	want := singleBackendStream(t, cfg)
 	reg := NewRegistry()
-	flaky := &truncatingBackend{inner: client.Local(newSession(t)), after: 2}
+	flaky := &truncatingBackend{inner: client.Local(newSession(t)), after: 2, cut: make(chan struct{})}
 	if err := reg.Add("flaky", flaky); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Add("solid", client.Local(newSession(t))); err != nil {
+	if err := reg.Add("solid", &gatedBackend{inner: client.Local(newSession(t)), open: flaky.cut}); err != nil {
 		t.Fatal(err)
 	}
 	coord, err := New(reg, WithShards(4))

@@ -620,8 +620,7 @@ func (it *Generator) pointID(key comboKey, areaIdx, k int) string {
 // AbortWhen hook fired). A slab is exactly the run Next would have
 // produced point by point, so slab and point consumers see identical
 // sequences. Because the odometer spins its innermost axis (count)
-// fastest, a slab is a run of near-neighbours in the design space —
-// the access pattern the evaluator's partial caches are keyed for.
+// fastest, a slab is a run of near-neighbours in the design space.
 func (it *Generator) NextSlab(dst []Point) int {
 	n := 0
 	for n < len(dst) {

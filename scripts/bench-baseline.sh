@@ -6,8 +6,8 @@
 # BenchmarkDistributedSweep (the sharded fan-out on the fleet
 # scheduler) and BenchmarkSearchBest (the adaptive search on the
 # 112008-candidate grid) — and distills ns/op, B/op, allocs/op,
-# points/sec, the partials-cache hit rate and the adaptive search's
-# evaluated-ratio into one JSON document. Points/sec is taken from the
+# points/sec and the adaptive search's evaluated-ratio into one JSON
+# document. Points/sec is taken from the
 # benchmark's own b.ReportMetric wall-clock figure when the line
 # carries one, and derived from ns/op and the known grid size
 # (568/4488-point stream grids, 50736-point distributed grid)
@@ -42,10 +42,8 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 echo "bench-baseline: running BenchmarkSessionStreamSweep" >&2
-# 20 iterations, not 2: the partials cache warms over the first few
-# iterations (hit rate 0.85 cold vs 0.96 warm), and a 2x run reports
-# the warm-up transient as steady-state throughput — that is what made
-# BENCH_PR8 read ~10% below BENCH_PR7 on identical code.
+# 20 iterations, not 2: a 2x run is too short to read steady-state
+# throughput from.
 go test -run '^$' -bench '^BenchmarkSessionStreamSweep$' -benchmem -benchtime 20x . \
   > "$tmp/stream.txt"
 echo "bench-baseline: running BenchmarkDistributedSweep" >&2
@@ -56,7 +54,7 @@ go test -run '^$' -bench '^BenchmarkSearchBest$' -benchmem -benchtime 2x . \
   > "$tmp/search.txt"
 
 # Benchmark output lines look like
-#   BenchmarkName/sub-8  2  123456 ns/op  0.75 partials-hit-rate  29347 points/sec  456 B/op  7 allocs/op
+#   BenchmarkName/sub-8  2  123456 ns/op  29347 points/sec  456 B/op  7 allocs/op
 # awk turns each into a JSON entry. Reported points/sec (wall clock)
 # wins over the ns/op derivation; the points-per-op count comes from
 # the sub-benchmark name (568pt/4488pt) or the per-file default (the
@@ -67,20 +65,18 @@ parse() {
     /ns\/op/ {
       name = $1
       sub(/-[0-9]+$/, "", name)                 # strip GOMAXPROCS suffix
-      ns = ""; bytes = ""; allocs = ""; rpps = ""; hit = ""; ratio = ""
+      ns = ""; bytes = ""; allocs = ""; rpps = ""; ratio = ""
       for (i = 2; i <= NF; i++) {
         if ($i == "ns/op")             ns = $(i - 1)
         if ($i == "B/op")              bytes = $(i - 1)
         if ($i == "allocs/op")         allocs = $(i - 1)
         if ($i == "points/sec")        rpps = $(i - 1)
-        if ($i == "partials-hit-rate") hit = $(i - 1)
         if ($i == "evaluated-ratio")   ratio = $(i - 1)
       }
       points = points_default
       if (match(name, /[0-9]+pt/)) points = substr(name, RSTART, RLENGTH - 2)
       pps = (rpps != "") ? rpps : ((ns > 0) ? points * 1e9 / ns : 0)
-      extra = (hit != "") ? sprintf(", \"partials_hit_rate\": %s", hit) : ""
-      if (ratio != "") extra = extra sprintf(", \"evaluated_ratio\": %s", ratio)
+      extra = (ratio != "") ? sprintf(", \"evaluated_ratio\": %s", ratio) : ""
       app = (points > 0 && allocs != "") ? allocs / points : 0
       printf "    {\"name\": \"%s\", \"ns_per_op\": %.0f, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"allocs_per_point\": %.3f, \"points_per_op\": %s, \"points_per_sec\": %.0f%s},\n", \
         name, ns, bytes, allocs, app, points, pps, extra
