@@ -244,9 +244,9 @@ func (e *Engine) RE(s system.System) (Breakdown, error) {
 
 // REUniform evaluates a uniform k-way system with one die evaluation
 // and one packaging partial, reproducing the general walk's arithmetic
-// — including its error messages — bit for bit. Callers that already hold the system's
-// shape use it to skip RE's detection pass; u must come from
-// system.AsUniform(s).
+// — including its error messages — bit for bit. Callers that already
+// hold the system's shape use it to skip RE's detection pass; u must
+// come from system.AsUniform(s).
 func (e *Engine) REUniform(s system.System, u system.Uniform) (Breakdown, error) {
 	// Validate-order errors this shape can still produce: unknown
 	// node first (from the placement walk), then negative quantity.

@@ -294,10 +294,11 @@ func WithWorkerBounds(min, max int) Option {
 }
 
 // Session is the batch evaluation handle: a technology database and
-// packaging parameter set, and a worker pool width. Apart from the worker-pool target width — which Resize moves
-// within the WithWorkerBounds range — a Session is immutable after
-// construction and safe for concurrent use; one Session is meant to
-// serve many Evaluate calls.
+// packaging parameter set, and a worker pool width. Apart from the
+// worker-pool target width — which Resize moves within the
+// WithWorkerBounds range — a Session is immutable after construction
+// and safe for concurrent use; one Session is meant to serve many
+// Evaluate calls.
 type Session struct {
 	db        *TechDatabase
 	params    PackagingParams
