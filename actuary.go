@@ -169,9 +169,9 @@ var (
 	ParseScheme = packaging.ParseScheme
 
 	// Monolithic builds a single-die SoC system.
-	Monolithic = system.Monolithic
+	Monolithic = system.Monolithic[string]
 	// PartitionEqual splits a module area into k equal chiplets.
-	PartitionEqual = system.PartitionEqual
+	PartitionEqual = system.PartitionEqual[string]
 	// PartitionWeighted splits a module area by weights.
 	PartitionWeighted = system.PartitionWeighted
 

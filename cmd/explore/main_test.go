@@ -175,6 +175,29 @@ func TestSweepModeDefaultsAndErrors(t *testing.T) {
 	}
 }
 
+// TestNonFiniteQuantityFailsBeforeOutput: ParseFloat accepts "NaN" and
+// "Inf", and a NaN volume used to print a top-K of $NaN totals (sweep)
+// or die mid-stream in the JSON encoder (stream). Grid validation must
+// reject it before anything is written.
+func TestNonFiniteQuantityFailsBeforeOutput(t *testing.T) {
+	for _, mode := range [][]string{
+		{"-mode", "sweep"},
+		{"-mode", "stream", "-questions", "total-cost"},
+	} {
+		for _, q := range []string{"NaN", "Inf", "-Inf"} {
+			args := append(append([]string{}, mode...), "-quantity", q, "-area-range", "100:300:100", "-count-range", "1:2")
+			var buf bytes.Buffer
+			err := run(context.Background(), args, &buf)
+			if err == nil || !strings.Contains(err.Error(), "non-finite quantity") {
+				t.Errorf("args %v: error %v, want a non-finite quantity error", args, err)
+			}
+			if buf.Len() != 0 {
+				t.Errorf("args %v: wrote %d bytes before failing:\n%s", args, buf.Len(), buf.String())
+			}
+		}
+	}
+}
+
 func TestSweepModeBackends(t *testing.T) {
 	args := func(extra ...string) []string {
 		return append([]string{"-mode", "sweep", "-nodes", "5nm,7nm",

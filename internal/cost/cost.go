@@ -197,22 +197,21 @@ func (e *Engine) REFloor(s system.System) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	dc, err := e.dieCost(s.Placements[0].Chiplet)
+	node, err := e.db.Node(u.Node)
+	if err != nil {
+		return 0, false
+	}
+	dc, err := e.dieCost(&node, &s.Placements[0].Chiplet, u.DieAreaMM2)
 	if err != nil || !(dc.KGD >= 0) {
 		return 0, false
 	}
 	return float64(u.K) * dc.KGD, true
 }
 
-// dieCost evaluates one die: its wafer share plus bump and sort cost,
-// its yield (Eq. 1, or the salvage-weighted yield) and their KGD
-// quotient.
-func (e *Engine) dieCost(c system.Chiplet) (DieCost, error) {
-	area := c.DieArea()
-	node, err := e.db.Node(c.Node)
-	if err != nil {
-		return DieCost{}, err
-	}
+// dieCost evaluates one die of the given area (c.DieArea()) on its
+// already-resolved node: its wafer share plus bump and sort cost, its
+// yield (Eq. 1, or the salvage-weighted yield) and their KGD quotient.
+func (e *Engine) dieCost(node *tech.Node, c *system.Chiplet, area float64) (DieCost, error) {
 	perDie, err := e.params.Wafer.CostPerRawDie(e.params.Estimator, node.WaferCost, area)
 	if err != nil {
 		return DieCost{}, fmt.Errorf("cost: die %q: %w", c.Name, err)
@@ -246,17 +245,26 @@ func (e *Engine) RE(s system.System) (Breakdown, error) {
 // and one packaging partial, reproducing the general walk's arithmetic
 // — including its error messages — bit for bit. Callers that already
 // hold the system's shape use it to skip RE's detection pass; u must
-// come from system.AsUniform(s).
+// come from system.AsUniform(s). It resolves the node and the partial
+// and hands them to REUniformOn.
 func (e *Engine) REUniform(s system.System, u system.Uniform) (Breakdown, error) {
-	// Validate-order errors this shape can still produce: unknown
-	// node first (from the placement walk), then negative quantity.
-	if _, err := e.db.Node(u.Node); err != nil {
-		return Breakdown{}, system.WrapUniformNodeErr(s, err)
+	node, err := u.Resolve(s, e.db)
+	if err != nil {
+		return Breakdown{}, err
 	}
-	if s.Quantity < 0 {
-		return Breakdown{}, fmt.Errorf("system: %q has negative quantity %v", s.Name, s.Quantity)
-	}
-	dc, err := e.dieCost(s.Placements[0].Chiplet)
+	pt, ptErr := packaging.PartialFor(e.params, e.db, u.PartialKey(s))
+	return e.REUniformOn(s, u, &node, &pt, ptErr)
+}
+
+// REUniformOn is REUniform's body for a caller that has already
+// resolved the shape: node and the System.Validate checks from
+// u.Resolve(s, db), and pt and ptErr from packaging.PartialFor on
+// u.PartialKey(s) with this engine's database and parameters. Like the
+// general walk, it reports a die error before ptErr. A caller pricing
+// NRE from the same node and partial (explore.Evaluator.Single) thus
+// resolves them once for both engines.
+func (e *Engine) REUniformOn(s system.System, u system.Uniform, node *tech.Node, pt *packaging.Partial, ptErr error) (Breakdown, error) {
+	dc, err := e.dieCost(node, &s.Placements[0].Chiplet, u.DieAreaMM2)
 	if err != nil {
 		return Breakdown{}, err
 	}
@@ -266,10 +274,12 @@ func (e *Engine) REUniform(s system.System, u system.Uniform) (Breakdown, error)
 		// in assembly validation, so let it.
 		return e.reSlow(s)
 	}
-
+	if ptErr != nil {
+		return Breakdown{}, ptErr
+	}
 	k := u.K
 	b := Breakdown{Dies: make([]DieCost, k)}
-	var totalArea, totalKGD float64
+	var totalKGD float64
 	for i := 0; i < k; i++ {
 		// Field by field into the zeroed slice: no DieCost temporary.
 		d := &b.Dies[i]
@@ -277,17 +287,7 @@ func (e *Engine) REUniform(s system.System, u system.Uniform) (Breakdown, error)
 		d.Raw, d.Yield, d.KGD = dc.Raw, dc.Yield, dc.KGD
 		b.RawChips += dc.Raw
 		b.ChipDefects += dc.Raw * (1/dc.Yield - 1)
-		totalArea += dc.AreaMM2
 		totalKGD += dc.KGD
-	}
-	pt, err := packaging.PartialFor(e.params, e.db, packaging.PartialKey{
-		Scheme:          s.Scheme,
-		Flow:            s.Flow,
-		Dies:            k,
-		TotalDieAreaMM2: totalArea,
-	})
-	if err != nil {
-		return Breakdown{}, err
 	}
 	pkg := pt.Apply(totalKGD)
 	b.Packaging = pkg
@@ -307,8 +307,13 @@ func (e *Engine) reSlow(s system.System) (Breakdown, error) {
 	areas := make([]float64, len(dies))
 	kgds := make([]float64, len(dies))
 	b.Dies = make([]DieCost, len(dies))
-	for i, c := range dies {
-		dc, err := e.dieCost(c)
+	for i := range dies {
+		c := &dies[i]
+		node, err := e.db.Node(c.Node)
+		if err != nil {
+			return Breakdown{}, err
+		}
+		dc, err := e.dieCost(&node, c, c.DieArea())
 		if err != nil {
 			return Breakdown{}, err
 		}

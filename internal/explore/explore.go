@@ -98,17 +98,30 @@ func (t TotalCost) NREShare() float64 {
 
 // Single evaluates a standalone system (a one-member portfolio).
 // Uniform systems — the shape every sweep candidate has — are detected
-// once and take a closed-form fast path through both engines that
-// skips the portfolio machinery (maps, sorts, per-design bookkeeping)
-// with bit-identical results, including error messages and their
-// order: like Portfolio, NRE validation errors surface before RE ones.
+// once and take a closed-form fast path that skips the portfolio
+// machinery (maps, sorts, per-design bookkeeping) with bit-identical
+// results, including error messages and their order: like Portfolio,
+// NRE errors (package geometry, zero volume) surface before RE ones
+// (a die too large for the wafer). The point is priced once: one node
+// lookup, one validation pass and one packaging partial feed both
+// engines. Those come from the cost engine's database and parameters,
+// which NewEvaluator shares with the NRE engine.
 func (e *Evaluator) Single(s system.System, policy nre.Policy) (TotalCost, error) {
 	if u, ok := system.AsUniform(s); ok {
-		nb, err := e.NRE.EvaluateUniform(s, u, policy)
+		db := e.Cost.DB()
+		node, err := u.Resolve(s, db)
 		if err != nil {
 			return TotalCost{}, err
 		}
-		re, err := e.Cost.REUniform(s, u)
+		pt, err := packaging.PartialFor(e.Cost.Params(), db, u.PartialKey(s))
+		if err != nil {
+			return TotalCost{}, err
+		}
+		nb, err := e.NRE.EvaluateUniformOn(s, u, &node, &pt, policy)
+		if err != nil {
+			return TotalCost{}, err
+		}
+		re, err := e.Cost.REUniformOn(s, u, &node, &pt, nil)
 		if err != nil {
 			return TotalCost{}, err
 		}

@@ -2,9 +2,11 @@ package explore
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -489,6 +491,83 @@ func TestSingleUniformAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("%.2f allocs per Single, want ≤ 1", allocs)
+	}
+}
+
+// TestUniformSingleErrorOrder pins the fused uniform path of Single on
+// deterministic cases whose outcome depends on which engine checks
+// first: chip-first assembly, the PerInstance policy, a negative
+// quantity, a zero quantity on an oversized 2.5D interposer, and an
+// oversized die on an oversized interposer. A second evaluator with
+// unbounded package limits lets an MCM die's wafer-fit error through,
+// and a zero volume must still be reported before it. Every answer,
+// error text included, must equal both the one-member Portfolio and
+// the standalone engines run in Portfolio's order (NRE, then RE).
+func TestUniformSingleErrorOrder(t *testing.T) {
+	roomy := packaging.DefaultParams()
+	roomy.MaxSubstrateMM2, roomy.MaxInterposerMM2 = 1e9, 1e9
+	roomyEval, err := NewEvaluator(tech.Default(), roomy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2d := dtod.Fraction{F: 0.1}
+	for _, tc := range []struct {
+		name    string
+		e       *Evaluator
+		area    float64
+		k       int
+		scheme  packaging.Scheme
+		flow    packaging.Flow
+		qty     float64
+		wantErr string // substring; "" means success
+	}{
+		{"chip-first 2.5D", evaluator(t), 600, 3, packaging.TwoPointFiveD, packaging.ChipFirst, 1e6, ""},
+		{"chip-first InFO", evaluator(t), 400, 4, packaging.InFO, packaging.ChipFirst, 5e5, ""},
+		{"chip-last MCM", evaluator(t), 800, 4, packaging.MCM, packaging.ChipLast, 5e5, ""},
+		{"negative quantity", evaluator(t), 800, 2, packaging.MCM, packaging.ChipLast, -1, "negative quantity"},
+		{"zero quantity, oversized interposer", evaluator(t), 3000, 2, packaging.TwoPointFiveD, packaging.ChipLast, 0,
+			"interposer 3667 mm² exceeds maximum"},
+		{"oversized die and interposer", evaluator(t), 200000, 2, packaging.TwoPointFiveD, packaging.ChipLast, 1e5,
+			"interposer 244444 mm² exceeds maximum"},
+		{"oversized die, roomy substrate", roomyEval, 200000, 2, packaging.MCM, packaging.ChipLast, 1e5,
+			"does not fit a wafer"},
+		{"zero quantity, oversized die, roomy substrate", roomyEval, 200000, 2, packaging.MCM, packaging.ChipLast, 0,
+			"no production volume"},
+	} {
+		s, err := system.PartitionEqual("o", "7nm", tc.area, tc.k, tc.scheme, d2d, tc.qty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Flow = tc.flow
+		u, ok := system.AsUniform(s)
+		if !ok {
+			t.Fatalf("%s: not uniform", tc.name)
+		}
+		for _, policy := range []nre.Policy{nre.PerSystemUnit, nre.PerInstance} {
+			what := fmt.Sprintf("%s, %v", tc.name, policy)
+			got, gotErr := tc.e.Single(s, policy)
+			m, portErr := tc.e.Portfolio([]system.System{s}, policy)
+			var alone TotalCost
+			var aloneErr error
+			if alone.NRE, aloneErr = tc.e.NRE.EvaluateUniform(s, u, policy); aloneErr == nil {
+				alone.RE, aloneErr = tc.e.Cost.REUniform(s, u)
+			}
+			if tc.wantErr == "" {
+				if gotErr != nil || portErr != nil || aloneErr != nil {
+					t.Fatalf("%s: errors: Single %v, Portfolio %v, standalone %v", what, gotErr, portErr, aloneErr)
+				}
+				if !reflect.DeepEqual(got, m[s.Name]) || !reflect.DeepEqual(got, alone) {
+					t.Fatalf("%s: Single %+v, Portfolio %+v, standalone %+v", what, got, m[s.Name], alone)
+				}
+				continue
+			}
+			if gotErr == nil || !strings.Contains(gotErr.Error(), tc.wantErr) {
+				t.Fatalf("%s: Single err %v, want one containing %q", what, gotErr, tc.wantErr)
+			}
+			if portErr == nil || aloneErr == nil || gotErr.Error() != portErr.Error() || gotErr.Error() != aloneErr.Error() {
+				t.Fatalf("%s: Single err %q, Portfolio err %v, standalone err %v", what, gotErr, portErr, aloneErr)
+			}
+		}
 	}
 }
 

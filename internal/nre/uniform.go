@@ -5,6 +5,7 @@ import (
 
 	"chipletactuary/internal/packaging"
 	"chipletactuary/internal/system"
+	"chipletactuary/internal/tech"
 )
 
 // uniformTerms is everything quantity-independent about one uniform
@@ -21,34 +22,29 @@ type uniformTerms struct {
 // k-way system on the closed-form fast path, bit-identical to
 // Portfolio([]system.System{s}).PerUnit[s.Name] — including error
 // messages and their ordering. Callers must pass a u obtained from
-// system.AsUniform(s).
+// system.AsUniform(s). It resolves the node and the packaging partial
+// and hands them to EvaluateUniformOn.
 func (e *Engine) EvaluateUniform(s system.System, u system.Uniform, policy Policy) (Breakdown, error) {
 	// Error order mirrors the general path: validation (unknown node,
 	// negative quantity), then package geometry, then amortization.
-	node, err := e.db.Node(u.Node)
-	if err != nil {
-		return Breakdown{}, system.WrapUniformNodeErr(s, err)
-	}
-	if s.Quantity < 0 {
-		return Breakdown{}, fmt.Errorf("system: %q has negative quantity %v", s.Name, s.Quantity)
-	}
-	// dieArea reconstructed in Chiplet.DieArea's add order, and the
-	// total die area exactly as Assembly.TotalDieArea sums it: k
-	// in-order additions.
-	dieArea := u.ModuleAreaMM2 + u.D2DAreaMM2
-	var totalDie float64
-	for i := 0; i < u.K; i++ {
-		totalDie += dieArea
-	}
-	pt, err := packaging.PartialFor(e.params, e.db, packaging.PartialKey{
-		Scheme:          s.Scheme,
-		Flow:            s.Flow,
-		Dies:            u.K,
-		TotalDieAreaMM2: totalDie,
-	})
+	node, err := u.Resolve(s, e.db)
 	if err != nil {
 		return Breakdown{}, err
 	}
+	pt, err := packaging.PartialFor(e.params, e.db, u.PartialKey(s))
+	if err != nil {
+		return Breakdown{}, err
+	}
+	return e.EvaluateUniformOn(s, u, &node, &pt, policy)
+}
+
+// EvaluateUniformOn is EvaluateUniform's body for a caller that has
+// already resolved the shape without error: node from
+// u.Resolve(s, db) and pt from packaging.PartialFor on
+// u.PartialKey(s). What remains to fail is amortization over a zero
+// volume. A caller pricing RE from the same node and partial
+// (explore.Evaluator.Single) thus resolves them once for both engines.
+func (e *Engine) EvaluateUniformOn(s system.System, u system.Uniform, node *tech.Node, pt *packaging.Partial, policy Policy) (Breakdown, error) {
 	q := s.Quantity
 	if q == 0 {
 		// The general path reports the first design in sorted key
@@ -63,8 +59,9 @@ func (e *Engine) EvaluateUniform(s system.System, u system.Uniform, policy Polic
 		return Breakdown{}, fmt.Errorf("nre: design %q has no production volume to amortize over", "chip/"+min)
 	}
 	kp, fixed := s.Scheme.NREFactors()
+	// u.DieAreaMM2 is Chiplet.DieArea's sum, bit for bit.
 	t := uniformTerms{
-		chipCost:   node.Kc*dieArea + node.FixedChipNRE,
+		chipCost:   node.Kc*u.DieAreaMM2 + node.FixedChipNRE,
 		moduleCost: node.Km * u.ModuleAreaMM2,
 		d2dCost:    node.D2DNRE,
 		hasD2D:     u.D2DAreaMM2 > 0,

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -46,10 +47,10 @@ func (t *TopK[T]) TieBreak(key func(T) string) *TopK[T] {
 	return t
 }
 
-// entry builds the heap entry of one item, computing the tie-break key
-// once.
-func (t *TopK[T]) entry(x T) topEntry[T] {
-	e := topEntry[T]{cost: t.cost(x), item: x}
+// entry builds the heap entry of one item of the given cost, computing
+// the tie-break key once.
+func (t *TopK[T]) entry(x T, cost float64) topEntry[T] {
+	e := topEntry[T]{cost: cost, item: x}
 	if t.key != nil {
 		e.key = t.key(x)
 	}
@@ -57,17 +58,24 @@ func (t *TopK[T]) entry(x T) topEntry[T] {
 }
 
 // less orders entries by cost, then by the tie-break key.
-func less[T any](a, b topEntry[T]) bool {
+func less[T any](a, b *topEntry[T]) bool {
 	if a.cost != b.cost {
 		return a.cost < b.cost
 	}
 	return a.key < b.key
 }
 
-// Observe offers one item to the selector.
+// Observe offers one item to the selector. Once the heap is full it
+// computes the cost first and drops an item that costs strictly more
+// than the root — nearly every item of a long sweep — without building
+// its entry or computing its tie-break key.
 func (t *TopK[T]) Observe(x T) {
 	t.seen++
-	t.offer(t.entry(x))
+	c := t.cost(x)
+	if len(t.heap) == t.k && c > t.heap[0].cost {
+		return
+	}
+	t.offer(t.entry(x, c))
 }
 
 // offer inserts one entry, evicting the current maximum when full.
@@ -77,7 +85,7 @@ func (t *TopK[T]) offer(e topEntry[T]) {
 		t.siftUp(len(t.heap) - 1)
 		return
 	}
-	if !less(e, t.heap[0]) {
+	if !less(&e, &t.heap[0]) {
 		return
 	}
 	t.heap[0] = e
@@ -94,7 +102,7 @@ func (t *TopK[T]) Merge(o *TopK[T]) {
 	for _, e := range o.heap {
 		// Re-enter through entry() so this selector's own functions
 		// decide cost and key even if o was configured differently.
-		t.offer(t.entry(e.item))
+		t.offer(t.entry(e.item, t.cost(e.item)))
 	}
 }
 
@@ -147,7 +155,7 @@ func (t *TopK[T]) SetState(s TopKState[T]) error {
 	t.k = s.K
 	t.heap = t.heap[:0]
 	for _, x := range s.Items {
-		t.offer(t.entry(x))
+		t.offer(t.entry(x, t.cost(x)))
 	}
 	t.seen = s.Seen
 	return nil
@@ -161,7 +169,7 @@ func (t *TopK[T]) Len() int { return len(t.heap) }
 func (t *TopK[T]) Sorted() []T {
 	entries := make([]topEntry[T], len(t.heap))
 	copy(entries, t.heap)
-	sort.Slice(entries, func(i, j int) bool { return less(entries[i], entries[j]) })
+	sort.Slice(entries, func(i, j int) bool { return less(&entries[i], &entries[j]) })
 	out := make([]T, len(entries))
 	for i, e := range entries {
 		out[i] = e.item
@@ -172,7 +180,7 @@ func (t *TopK[T]) Sorted() []T {
 func (t *TopK[T]) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !less(t.heap[parent], t.heap[i]) {
+		if !less(&t.heap[parent], &t.heap[i]) {
 			return
 		}
 		t.heap[parent], t.heap[i] = t.heap[i], t.heap[parent]
@@ -184,7 +192,7 @@ func (t *TopK[T]) siftDown(i int) {
 	for {
 		largest := i
 		for _, c := range []int{2*i + 1, 2*i + 2} {
-			if c < len(t.heap) && less(t.heap[largest], t.heap[c]) {
+			if c < len(t.heap) && less(&t.heap[largest], &t.heap[c]) {
 				largest = c
 			}
 		}
@@ -268,7 +276,7 @@ func (p *Pareto[T]) observe(item T) {
 	for j < len(p.front) && p.front[j].y >= y {
 		j++
 	}
-	p.front = append(p.front[:i], append([]paretoEntry[T]{{x: x, y: y, key: key, item: item}}, p.front[j:]...)...)
+	p.front = slices.Replace(p.front, i, j, paretoEntry[T]{x: x, y: y, key: key, item: item})
 }
 
 // Merge folds another front into this one, as if every item behind o

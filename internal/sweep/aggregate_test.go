@@ -40,29 +40,50 @@ func TestTopKFewerThanK(t *testing.T) {
 	}
 }
 
+// TestTopKMatchesFullSortRandomized checks the selector against a full
+// sort, on continuous costs and on costs drawn from five values, where
+// ties at the heap's root are the common case. With a tie-break key the
+// retained items must be exactly the sort's first k under (cost, id);
+// without one, the first k costs.
 func TestTopKMatchesFullSortRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(200)
-		k := 1 + rng.Intn(10)
-		top := NewTopK(k, func(s scored) float64 { return s.cost })
-		all := make([]float64, n)
-		for i := range all {
-			all[i] = rng.Float64() * 100
-			top.Observe(scored{cost: all[i]})
-		}
-		sort.Float64s(all)
-		want := k
-		if n < k {
-			want = n
-		}
-		got := top.Sorted()
-		if len(got) != want {
-			t.Fatalf("trial %d: kept %d, want %d", trial, len(got), want)
-		}
-		for i, s := range got {
-			if s.cost != all[i] {
-				t.Fatalf("trial %d: rank %d cost %v, want %v", trial, i, s.cost, all[i])
+	for _, few := range []bool{false, true} {
+		for _, tieBreak := range []bool{false, true} {
+			for trial := 0; trial < 20; trial++ {
+				n := 1 + rng.Intn(200)
+				k := 1 + rng.Intn(10)
+				top := NewTopK(k, func(s scored) float64 { return s.cost })
+				if tieBreak {
+					top.TieBreak(func(s scored) string { return s.id })
+				}
+				all := make([]scored, n)
+				for i := range all {
+					all[i] = scored{id: fmt.Sprintf("p%03d", rng.Intn(1000)*1000+i), cost: rng.Float64() * 100}
+					if few {
+						all[i].cost = float64(rng.Intn(5))
+					}
+					top.Observe(all[i])
+				}
+				sort.Slice(all, func(i, j int) bool {
+					if all[i].cost != all[j].cost {
+						return all[i].cost < all[j].cost
+					}
+					return all[i].id < all[j].id
+				})
+				want := k
+				if n < k {
+					want = n
+				}
+				got := top.Sorted()
+				what := fmt.Sprintf("few=%v tieBreak=%v trial %d", few, tieBreak, trial)
+				if len(got) != want {
+					t.Fatalf("%s: kept %d, want %d", what, len(got), want)
+				}
+				for i, s := range got {
+					if s.cost != all[i].cost || (tieBreak && s.id != all[i].id) {
+						t.Fatalf("%s: rank %d %+v, want %+v", what, i, s, all[i])
+					}
+				}
 			}
 		}
 	}

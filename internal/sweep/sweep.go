@@ -87,6 +87,9 @@ func (g Grid) Validate() error {
 		}
 	}
 	for _, a := range g.AreasMM2 {
+		if math.IsNaN(a) || math.IsInf(a, 0) {
+			return fmt.Errorf("sweep: grid %q has non-finite area %v", g.Name, a)
+		}
 		if a <= 0 {
 			return fmt.Errorf("sweep: grid %q has non-positive area %v", g.Name, a)
 		}
@@ -106,6 +109,9 @@ func (g Grid) Validate() error {
 		}
 	}
 	for _, q := range g.Quantities {
+		if math.IsNaN(q) || math.IsInf(q, 0) {
+			return fmt.Errorf("sweep: grid %q has non-finite quantity %v", g.Name, q)
+		}
 		if q <= 0 {
 			return fmt.Errorf("sweep: grid %q has non-positive quantity %v", g.Name, q)
 		}
@@ -391,7 +397,7 @@ type Generator struct {
 	// it with the "-a<area>" segment of area index idArea (−1: none
 	// yet); pointID appends the count segment after that, so
 	// consecutive points of one combination and area (the count axis
-	// spins fastest) pay for their ID string only.
+	// spins fastest) rewrite only that segment.
 	idBuf     []byte
 	idPrefix  int
 	idKey     comboKey
@@ -556,8 +562,11 @@ func (it *Generator) Next() (Point, bool) {
 				it.stats.Pruned++
 				continue
 			}
-			p.ID = it.pointID(comboKey{nodeIdx, sch, quantityIdx}, areaIdx, k)
+			p.ID = string(it.pointID(comboKey{nodeIdx, sch, quantityIdx}, areaIdx, k))
 		} else {
+			// The system copies the ID bytes into its names string; its
+			// Name is the point's ID, so the ID costs no string of its
+			// own.
 			id := it.pointID(comboKey{nodeIdx, sch, quantityIdx}, areaIdx, k)
 			sys, err := system.PartitionEqual(id, node, area, k, sch, it.d2d, quantity)
 			if err != nil {
@@ -566,7 +575,7 @@ func (it *Generator) Next() (Point, bool) {
 				it.stats.Pruned++
 				continue
 			}
-			p.ID, p.System = id, sys
+			p.ID, p.System = sys.Name, sys
 		}
 		// Per-die area from the scalars, with the same expressions the
 		// partition builder uses (k = 1 points are monolithic: full
@@ -591,11 +600,14 @@ func (it *Generator) Next() (Point, bool) {
 	}
 }
 
-// pointID returns Grid.PointID of the candidate with the given axis
-// combination, area index and count, byte for byte, rebuilding the
-// cached ComboID prefix only when the combination changes and the area
-// segment only when the area does.
-func (it *Generator) pointID(key comboKey, areaIdx, k int) string {
+// pointID returns the bytes of Grid.PointID of the candidate with the
+// given axis combination, area index and count, rebuilding the cached
+// ComboID prefix only when the combination changes and the area
+// segment only when the area does. The bytes live in the generator's
+// reused buffer and are valid until the next call: a caller copies
+// them out (PartitionEqual copies them into its names string, a lean
+// walk into the ID string), so a point pays for its ID only there.
+func (it *Generator) pointID(key comboKey, areaIdx, k int) []byte {
 	g := it.grid
 	if key != it.idKey {
 		it.idBuf = append(it.idBuf[:0], g.ComboID(g.Nodes[key.node], key.scheme, g.Quantities[key.quantity])...)
@@ -612,7 +624,7 @@ func (it *Generator) pointID(key comboKey, areaIdx, k int) string {
 	buf := append(it.idBuf[:it.idAreaEnd], "-k"...)
 	buf = strconv.AppendInt(buf, int64(k), 10)
 	it.idBuf = buf
-	return string(buf)
+	return buf
 }
 
 // NextSlab fills dst with the next consecutive surviving points and

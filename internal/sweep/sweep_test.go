@@ -179,6 +179,16 @@ func TestGridValidate(t *testing.T) {
 		{"bad count", func(g *Grid) { g.Counts = []int{0} }, ""},
 		{"no quantities", func(g *Grid) { g.Quantities = nil }, ""},
 		{"bad quantity", func(g *Grid) { g.Quantities = []float64{0} }, ""},
+		// NaN compares false with everything, so "≤ 0" alone let it
+		// through; +Inf is positive.
+		{"NaN area", func(g *Grid) { g.AreasMM2 = []float64{400, math.NaN()} },
+			`sweep: grid "g" has non-finite area NaN`},
+		{"infinite area", func(g *Grid) { g.AreasMM2 = []float64{math.Inf(1)} },
+			`sweep: grid "g" has non-finite area +Inf`},
+		{"NaN quantity", func(g *Grid) { g.Quantities = []float64{math.NaN()} },
+			`sweep: grid "g" has non-finite quantity NaN`},
+		{"infinite quantity", func(g *Grid) { g.Quantities = []float64{5, math.Inf(-1)} },
+			`sweep: grid "g" has non-finite quantity -Inf`},
 		{"soc multichip", func(g *Grid) { g.Schemes = []packaging.Scheme{packaging.SoC} }, ""},
 		{"duplicate node", func(g *Grid) { g.Nodes = []string{"5nm", "5nm"} },
 			`sweep: grid "g" has duplicate nodes entries`},

@@ -10,19 +10,25 @@ import (
 )
 
 // Monolithic builds an SoC system: one die carrying a single module of
-// the given area, no D2D interface.
-func Monolithic(name, node string, moduleAreaMM2, quantity float64) System {
-	// Both names are sliced out of one string: "<name>-die<name>-logic".
+// the given area, no D2D interface. The name may be a string or a byte
+// slice; the system keeps its own copy either way.
+func Monolithic[S ~string | ~[]byte](name S, node string, moduleAreaMM2, quantity float64) System {
 	var b strings.Builder
-	b.Grow(2*len(name) + len("-die") + len("-logic"))
-	b.WriteString(name)
+	head := startNames(&b, name, 2*len(name)+len("-die")+len("-logic"))
+	return monolithic(&b, head, node, moduleAreaMM2, quantity)
+}
+
+// monolithic is Monolithic's body. All three names are sliced out of
+// one string, "<name>-die<name>-logic", whose first len(head) bytes b
+// already holds: the system name is the die name's prefix.
+func monolithic(b *strings.Builder, head, node string, moduleAreaMM2, quantity float64) System {
 	b.WriteString("-die")
-	b.WriteString(name)
+	b.WriteString(head)
 	b.WriteString("-logic")
 	names := b.String()
-	die := len(name) + len("-die")
+	die := len(head) + len("-die")
 	return System{
-		Name:   name,
+		Name:   head,
 		Scheme: packaging.SoC,
 		Placements: []Placement{{
 			Chiplet: Chiplet{
@@ -43,7 +49,12 @@ func Monolithic(name, node string, moduleAreaMM2, quantity float64) System {
 // experiment setup ("we divide a monolithic chip into different
 // numbers of chiplets ... no reuse is utilized"): each chiplet is a
 // separate design, so each pays its own chip NRE.
-func PartitionEqual(name, node string, moduleAreaMM2 float64, k int,
+//
+// The name may be a string or a byte slice. A sweep generator passes
+// the reused buffer it builds each point ID in: the system copies the
+// bytes once, into the one string that holds every chiplet and module
+// name, and its Name is a prefix of that string.
+func PartitionEqual[S ~string | ~[]byte](name S, node string, moduleAreaMM2 float64, k int,
 	scheme packaging.Scheme, d2d dtod.Overhead, quantity float64) (System, error) {
 	if k < 1 {
 		return System{}, fmt.Errorf("system: partition count %d must be ≥ 1", k)
@@ -57,32 +68,47 @@ func PartitionEqual(name, node string, moduleAreaMM2 float64, k int,
 	if scheme == packaging.SoC {
 		return System{}, fmt.Errorf("system: cannot partition into %d chiplets on an SoC", k)
 	}
-	per := moduleAreaMM2 / float64(k)
-	// This constructor runs once per sweep candidate, so it makes three
-	// allocations whatever k is: the placements, one backing Module
-	// array sliced per chiplet, and one builder buffer, sized up front,
-	// holding all 2k names ("<name>-part-<i><name>-chiplet-<i>" for
-	// each i). Each name is a substring of the builder's string; bytes
-	// already written never change, so earlier substrings stay valid.
-	const part, chiplet = "-part-", "-chiplet-"
 	size := 0
 	for i := 1; i <= k; i++ {
-		size += 2*len(name) + len(part) + len(chiplet) + 2*decimalLen(i)
+		size += 2*len(name) + len(partSep) + len(chipletSep) + 2*decimalLen(i)
 	}
 	var b strings.Builder
-	b.Grow(size)
+	head := startNames(&b, name, size)
+	return partitionEqual(&b, head, node, moduleAreaMM2, k, scheme, d2d, quantity), nil
+}
+
+// The separators of the names of an equal partition's i-th chiplet:
+// module "<name>-part-<i>", chiplet "<name>-chiplet-<i>".
+const partSep, chipletSep = "-part-", "-chiplet-"
+
+// partitionEqual is PartitionEqual's body for a buildable partition.
+//
+// This constructor runs once per sweep candidate, so it makes three
+// allocations whatever k is: the placements, one backing Module array
+// sliced per chiplet, and b's buffer, sized up front, holding all 2k
+// names ("<name>-part-<i><name>-chiplet-<i>" for each i) after the
+// len(head) bytes of name it already holds. Each name is a substring
+// of the builder's string, and the system name is the first module
+// name's prefix; bytes already written never change, so earlier
+// substrings stay valid.
+func partitionEqual(b *strings.Builder, head, node string, moduleAreaMM2 float64, k int,
+	scheme packaging.Scheme, d2d dtod.Overhead, quantity float64) System {
+	per := moduleAreaMM2 / float64(k)
 	var seq [20]byte
 	placements := make([]Placement, k)
 	modules := make([]Module, k)
 	for i := range placements {
 		digits := strconv.AppendInt(seq[:0], int64(i+1), 10)
-		start := b.Len()
-		b.WriteString(name)
-		b.WriteString(part)
+		start := 0 // the first module name starts with head itself
+		if i > 0 {
+			start = b.Len()
+			b.WriteString(head)
+		}
+		b.WriteString(partSep)
 		b.Write(digits)
 		mid := b.Len()
-		b.WriteString(name)
-		b.WriteString(chiplet)
+		b.WriteString(head)
+		b.WriteString(chipletSep)
 		b.Write(digits)
 		names := b.String()
 		// Field by field into the zeroed slices: a composite literal
@@ -93,7 +119,24 @@ func PartitionEqual(name, node string, moduleAreaMM2 float64, k int,
 		c.Name, c.Node, c.Modules, c.D2D = names[mid:], node, modules[i:i+1:i+1], d2d
 		placements[i].Count = 1
 	}
-	return System{Name: name, Scheme: scheme, Placements: placements, Quantity: quantity}, nil
+	return System{Name: head, Scheme: scheme, Placements: placements, Quantity: quantity}
+}
+
+// startNames reserves size bytes in an empty builder, writes name into
+// it and returns the builder's copy of name. A byte-slice name goes
+// through a stack buffer in chunks: converting it to a string would
+// allocate a second copy. The constructors' bodies are not generic:
+// compiled for a []byte name, a generic body did not inline its
+// builder calls, which cost more per point than the allocation saved.
+func startNames[S ~string | ~[]byte](b *strings.Builder, name S, size int) string {
+	b.Grow(size)
+	var chunk [64]byte
+	for rest := name; len(rest) > 0; {
+		n := copy(chunk[:], rest)
+		b.Write(chunk[:n])
+		rest = rest[n:]
+	}
+	return b.String()
 }
 
 // decimalLen returns the number of decimal digits of a positive n.

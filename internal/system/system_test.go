@@ -2,6 +2,7 @@ package system
 
 import (
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -307,14 +308,42 @@ func TestPartitionEqualNames(t *testing.T) {
 						t.Fatalf("%q k=%d module %d: name %q, want %q", name, k, i, p.Chiplet.Modules[0].Name, want)
 					}
 				}
+				// A byte-slice name builds the same system, and the
+				// system keeps its own copy: reusing the buffer (as
+				// the sweep generator does) changes no name.
+				buf := []byte(name)
+				bs, err := PartitionEqual(buf, "7nm", 640, k, scheme, dtod.Fraction{F: 0.1}, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range buf {
+					buf[i] = '#'
+				}
+				if !reflect.DeepEqual(bs, s) {
+					t.Fatalf("%q k=%d: []byte name built %+v, want %+v", name, k, bs, s)
+				}
 			}
+		}
+		buf := []byte(name)
+		bsoc, err := PartitionEqual(buf, "5nm", 800, 1, packaging.SoC, dtod.None{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = '#'
+		}
+		if !reflect.DeepEqual(bsoc, soc) {
+			t.Fatalf("monolithic %q: []byte name built %+v, want %+v", name, bsoc, soc)
 		}
 	}
 }
 
 // TestPartitionEqualAllocs pins the constructor to three allocations
-// whatever the width: placements, modules and one name string.
+// whatever the width: placements, modules and one name string. A
+// byte-slice name (longer than any stack buffer a string conversion
+// could use) is copied into that string, not converted on the side.
 func TestPartitionEqualAllocs(t *testing.T) {
+	byteName := []byte(strings.Repeat("sweep-5nm-2.5D-q1e+06-a123.25-k", 5))
 	for _, k := range []int{2, 9, 12, 64} {
 		allocs := testing.AllocsPerRun(50, func() {
 			if _, err := PartitionEqual("sys", "5nm", 800, k, packaging.MCM, dtod.None{}, 1); err != nil {
@@ -324,9 +353,25 @@ func TestPartitionEqualAllocs(t *testing.T) {
 		if allocs > 3 {
 			t.Errorf("k=%d: %.1f allocs, want ≤ 3", k, allocs)
 		}
+		var s System
+		allocs = testing.AllocsPerRun(50, func() {
+			var err error
+			if s, err = PartitionEqual(byteName, "5nm", 800, k, packaging.MCM, dtod.None{}, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 3 {
+			t.Errorf("k=%d, []byte name: %.1f allocs, want ≤ 3", k, allocs)
+		}
+		if s.Name != string(byteName) {
+			t.Errorf("k=%d, []byte name: system name %q, want %q", k, s.Name, byteName)
+		}
 	}
 	if allocs := testing.AllocsPerRun(50, func() { Monolithic("sys", "5nm", 800, 1) }); allocs > 3 {
 		t.Errorf("Monolithic: %.1f allocs, want ≤ 3", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { Monolithic(byteName, "5nm", 800, 1) }); allocs > 3 {
+		t.Errorf("Monolithic, []byte name: %.1f allocs, want ≤ 3", allocs)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"chipletactuary/internal/packaging"
+	"chipletactuary/internal/tech"
 )
 
 // Uniform describes a system of k identical single-module chiplets —
@@ -105,11 +106,30 @@ func sameName(a, b string) bool {
 	return true
 }
 
-// WrapUniformNodeErr reproduces, byte for byte, the error chain
-// System.Validate produces when the (shared) node of a uniform
-// system's chiplets is unknown: Chiplet.Validate's wrap inside
-// System.Validate's wrap around the tech database error.
-func WrapUniformNodeErr(s System, err error) error {
-	inner := fmt.Errorf("system: chiplet %q: %w", s.Placements[0].Chiplet.Name, err)
-	return fmt.Errorf("system: %q: %w", s.Name, inner)
+// Resolve looks up the shared node of uniform system s (u must come
+// from AsUniform(s)) and runs the System.Validate checks this shape can
+// still fail, in Validate's order — unknown node, then negative
+// quantity — with Validate's error text byte for byte.
+func (u Uniform) Resolve(s System, db *tech.Database) (tech.Node, error) {
+	node, err := db.Node(u.Node)
+	if err != nil {
+		inner := fmt.Errorf("system: chiplet %q: %w", s.Placements[0].Chiplet.Name, err)
+		return tech.Node{}, fmt.Errorf("system: %q: %w", s.Name, inner)
+	}
+	if s.Quantity < 0 {
+		return tech.Node{}, fmt.Errorf("system: %q has negative quantity %v", s.Name, s.Quantity)
+	}
+	return node, nil
+}
+
+// PartialKey returns the packaging partial key of uniform system s:
+// its scheme and flow, k dies, and the total die area folded the way
+// Assembly.TotalDieArea folds it — k in-order adds of the die area —
+// so the downstream float math keeps its bits.
+func (u Uniform) PartialKey(s System) packaging.PartialKey {
+	var total float64
+	for i := 0; i < u.K; i++ {
+		total += u.DieAreaMM2
+	}
+	return packaging.PartialKey{Scheme: s.Scheme, Flow: s.Flow, Dies: u.K, TotalDieAreaMM2: total}
 }
