@@ -23,7 +23,8 @@ import (
 type Point struct {
 	// ID is the deterministic point label: the grid name plus one
 	// segment per multi-valued axis, always including area and count
-	// ("name-a800-k4", "name-5nm-a800-k4", ...).
+	// ("name-a800-k4", "name-5nm-a800-k4", ...). On a materialized
+	// point it is System.Name, the same string.
 	ID string
 	// Node, Scheme, AreaMM2, K and Quantity echo the axis values.
 	// Scheme is the point's effective scheme: k = 1 points are
