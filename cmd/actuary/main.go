@@ -393,7 +393,7 @@ func renderPortfolio(out io.Writer, s *actuary.Session, name string,
 	inv := report.NewTable("Shared design inventory", "kind", "design", "one-time cost", "used by")
 	for _, d := range res.Designs {
 		inv.MustAddRow(d.Kind.String(), d.Key, units.Dollars(d.Cost),
-			fmt.Sprintf("%d system(s)", len(d.InstancesBySystem)))
+			fmt.Sprintf("%d system(s)", len(d.Consumers)))
 	}
 	inv.MustAddRow("", "total", units.Dollars(res.TotalNRE), "")
 	return inv.WriteText(out)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -43,6 +44,29 @@ func TestRunAll(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q", want)
 		}
+	}
+}
+
+// TestRunAllGolden pins every printed digit of `figures -fig all`:
+// the figures, the claims, the ablations, the extensions and the
+// robustness study.
+func TestRunAllGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/all.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run(nil, &out); err != nil {
+		t.Fatal(err)
+	}
+	if got := out.Bytes(); !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("output differs from testdata/all.golden at line %d:\n got %q\nwant %q", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("output has %d lines, testdata/all.golden has %d", len(gl), len(wl))
 	}
 }
 

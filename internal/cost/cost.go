@@ -297,18 +297,20 @@ func (e *Engine) REUniformOn(s system.System, u system.Uniform, node *tech.Node,
 	return b, nil
 }
 
-// reSlow is the general per-placement walk.
+// reSlow is the general per-placement walk. Each placement is priced
+// once — one node lookup, one die evaluation — and its Count copies are
+// then laid out in die order, each adding its share to the chip totals.
 func (e *Engine) reSlow(s system.System) (Breakdown, error) {
 	if err := s.Validate(e.db); err != nil {
 		return Breakdown{}, err
 	}
-	dies := s.Dies()
-	var b Breakdown
-	areas := make([]float64, len(dies))
-	kgds := make([]float64, len(dies))
-	b.Dies = make([]DieCost, len(dies))
-	for i := range dies {
-		c := &dies[i]
+	n := s.DieCount()
+	b := Breakdown{Dies: make([]DieCost, 0, n)}
+	buf := make([]float64, 2*n)
+	areas, kgds := buf[:0:n], buf[n:n]
+	for i := range s.Placements {
+		p := &s.Placements[i]
+		c := &p.Chiplet
 		node, err := e.db.Node(c.Node)
 		if err != nil {
 			return Breakdown{}, err
@@ -317,11 +319,14 @@ func (e *Engine) reSlow(s system.System) (Breakdown, error) {
 		if err != nil {
 			return Breakdown{}, err
 		}
-		b.Dies[i] = dc
-		b.RawChips += dc.Raw
-		b.ChipDefects += dc.Raw * (1/dc.Yield - 1)
-		areas[i] = dc.AreaMM2
-		kgds[i] = dc.KGD
+		defects := dc.Raw * (1/dc.Yield - 1)
+		for j := 0; j < p.Count; j++ {
+			b.Dies = append(b.Dies, dc)
+			b.RawChips += dc.Raw
+			b.ChipDefects += defects
+			areas = append(areas, dc.AreaMM2)
+			kgds = append(kgds, dc.KGD)
+		}
 	}
 
 	asm := packaging.Assembly{DieAreasMM2: areas, KGDCosts: kgds}

@@ -15,7 +15,8 @@ package nre
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"chipletactuary/internal/packaging"
 	"chipletactuary/internal/system"
@@ -88,9 +89,20 @@ type Design struct {
 	Key string
 	// Cost is the total one-time cost of the design.
 	Cost float64
-	// InstancesBySystem records, per consuming system name, how many
-	// copies one system unit mounts (1 for package and D2D designs).
-	InstancesBySystem map[string]float64
+	// Consumers lists the systems that use the design, one entry per
+	// system, in portfolio order.
+	Consumers []Consumer
+}
+
+// Consumer is one system's use of a design.
+type Consumer struct {
+	// System is the system's index in the slice given to Portfolio.
+	System int
+	// Instances is how many copies of the design one system unit
+	// mounts: the chiplet count for chip and module designs, the
+	// count of D2D-bearing dies on the node for a D2D design, and 1
+	// for a package design.
+	Instances float64
 }
 
 // Breakdown is the amortized NRE per system unit, split by kind.
@@ -141,111 +153,122 @@ func (e *Engine) Single(s system.System, policy Policy) (Result, error) {
 
 // Portfolio evaluates the NRE of a group of systems built together,
 // de-duplicating shared designs and amortizing each design over the
-// production that consumes it.
+// production that consumes it. Each design's volume is summed over its
+// consumers in portfolio order, so the result is the same bits on
+// every call.
 func (e *Engine) Portfolio(systems []system.System, policy Policy) (Result, error) {
 	if len(systems) == 0 {
 		return Result{}, fmt.Errorf("nre: empty portfolio")
 	}
-	seen := make(map[string]bool, len(systems))
+	// PerUnit doubles as the duplicate-name check; the zero
+	// breakdowns are overwritten once amortization has filled them.
+	res := Result{PerUnit: make(map[string]Breakdown, len(systems))}
 	for _, s := range systems {
 		if err := s.Validate(e.db); err != nil {
 			return Result{}, err
 		}
-		if seen[s.Name] {
+		if _, dup := res.PerUnit[s.Name]; dup {
 			return Result{}, fmt.Errorf("nre: duplicate system name %q", s.Name)
 		}
-		seen[s.Name] = true
+		res.PerUnit[s.Name] = Breakdown{}
 	}
 
-	designs := make(map[string]*Design)
-	costs := make(map[string]float64) // sanity: identical key ⇒ identical cost
-	add := func(kind Kind, key string, cost float64, sys string, instances float64) error {
-		if prev, ok := costs[key]; ok {
-			if prev != cost {
-				return fmt.Errorf("nre: design %q used with two different costs (%v vs %v): same name must mean same design", key, prev, cost)
-			}
-		} else {
-			costs[key] = cost
-			designs[key] = &Design{Kind: kind, Key: key, Cost: cost, InstancesBySystem: map[string]float64{}}
+	var designs []Design
+	index := make(map[string]int)
+	// kb holds the key being looked up; index[string(kb)] does not
+	// allocate, so a key string is built only when a design is new.
+	var kb []byte
+	add := func(kind Kind, cost float64, sys int, instances float64) error {
+		i, ok := index[string(kb)]
+		if !ok {
+			i = len(designs)
+			key := string(kb)
+			index[key] = i
+			designs = append(designs, Design{Kind: kind, Key: key, Cost: cost})
+		} else if prev := designs[i].Cost; prev != cost {
+			return fmt.Errorf("nre: design %q used with two different costs (%v vs %v): same name must mean same design", designs[i].Key, prev, cost)
 		}
-		designs[key].InstancesBySystem[sys] += instances
+		// Systems are walked in order, so a repeat add from this
+		// system can only be the design's last consumer.
+		d := &designs[i]
+		if n := len(d.Consumers); n > 0 && d.Consumers[n-1].System == sys {
+			d.Consumers[n-1].Instances += instances
+		} else {
+			d.Consumers = append(d.Consumers, Consumer{System: sys, Instances: instances})
+		}
 		return nil
 	}
 
-	for _, s := range systems {
+	var geomBuf []float64
+	for si := range systems {
+		s := &systems[si]
 		// Module and chip designs, Eq. (6)/(8).
-		for _, p := range s.Placements {
-			c := p.Chiplet
+		for pi := range s.Placements {
+			p := &s.Placements[pi]
+			c := &p.Chiplet
 			node, err := e.db.Node(c.Node)
 			if err != nil {
 				return Result{}, err
 			}
-			chipCost := node.Kc*c.DieArea() + node.FixedChipNRE
-			if err := add(ChipDesign, "chip/"+c.Name, chipCost, s.Name, float64(p.Count)); err != nil {
+			count := float64(p.Count)
+			kb = append(append(kb[:0], "chip/"...), c.Name...)
+			if err := add(ChipDesign, node.Kc*c.DieArea()+node.FixedChipNRE, si, count); err != nil {
 				return Result{}, err
 			}
 			for _, m := range c.Modules {
-				mCost := node.Km * m.AreaMM2
-				key := "module/" + c.Node + "/" + m.Name
-				if err := add(ModuleDesign, key, mCost, s.Name, float64(p.Count)); err != nil {
+				kb = append(append(append(append(kb[:0], "module/"...), c.Node...), '/'), m.Name...)
+				if err := add(ModuleDesign, node.Km*m.AreaMM2, si, count); err != nil {
 					return Result{}, err
 				}
 			}
 			if c.D2DArea() > 0 {
-				if err := add(D2DDesign, "d2d/"+c.Node, node.D2DNRE, s.Name, float64(p.Count)); err != nil {
+				kb = append(append(kb[:0], "d2d/"...), c.Node...)
+				if err := add(D2DDesign, node.D2DNRE, si, count); err != nil {
 					return Result{}, err
 				}
 			}
 		}
 		// Package design, Eq. (7)/(8).
-		geom, err := e.packageGeometry(s)
+		geom, err := e.packageGeometry(s, &geomBuf)
 		if err != nil {
 			return Result{}, err
 		}
 		kp, fixed := s.Scheme.NREFactors()
-		pkgCost := kp*geom + fixed
-		if err := add(PackageDesign, "pkg/"+s.PackageName(), pkgCost, s.Name, 1); err != nil {
+		kb = append(append(kb[:0], "pkg/"...), s.PackageName()...)
+		if err := add(PackageDesign, kp*geom+fixed, si, 1); err != nil {
 			return Result{}, err
 		}
 	}
 
-	// Amortize.
-	quantity := make(map[string]float64, len(systems))
-	for _, s := range systems {
-		quantity[s.Name] = s.Quantity
-	}
-	res := Result{PerUnit: make(map[string]Breakdown, len(systems))}
-	keys := make([]string, 0, len(designs))
-	for k := range designs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		d := designs[k]
-		res.Designs = append(res.Designs, *d)
+	// Amortize, in key order.
+	slices.SortFunc(designs, func(a, b Design) int { return strings.Compare(a.Key, b.Key) })
+	res.Designs = designs
+	perUnit := make([]Breakdown, len(systems))
+	for i := range designs {
+		d := &designs[i]
 		res.TotalNRE += d.Cost
 
 		var denom float64
-		for sys, inst := range d.InstancesBySystem {
+		for _, u := range d.Consumers {
 			switch policy {
 			case PerInstance:
-				denom += quantity[sys] * inst
+				denom += systems[u.System].Quantity * u.Instances
 			default:
-				denom += quantity[sys]
+				denom += systems[u.System].Quantity
 			}
 		}
 		if denom <= 0 {
 			return Result{}, fmt.Errorf("nre: design %q has no production volume to amortize over", d.Key)
 		}
-		for sys, inst := range d.InstancesBySystem {
+		for _, u := range d.Consumers {
 			var share float64
 			switch policy {
 			case PerInstance:
-				share = d.Cost * inst / denom
+				share = d.Cost * u.Instances / denom
 			default:
 				share = d.Cost / denom
 			}
-			b := res.PerUnit[sys]
+			b := &perUnit[u.System]
 			switch d.Kind {
 			case ModuleDesign:
 				b.Modules += share
@@ -256,21 +279,34 @@ func (e *Engine) Portfolio(systems []system.System, policy Policy) (Result, erro
 			case D2DDesign:
 				b.D2D += share
 			}
-			res.PerUnit[sys] = b
 		}
+	}
+	for i := range systems {
+		res.PerUnit[systems[i].Name] = perUnit[i]
 	}
 	return res, nil
 }
 
 // packageGeometry returns the NRE-relevant package area: substrate
 // plus interposer. It prices the package with zero-value dies, which
-// yields the geometry without needing KGD costs.
-func (e *Engine) packageGeometry(s system.System) (float64, error) {
-	dies := s.Dies()
-	areas := make([]float64, len(dies))
-	zeros := make([]float64, len(dies))
-	for i, c := range dies {
-		areas[i] = c.DieArea()
+// yields the geometry without needing KGD costs. Each placement's die
+// area is computed once and repeated Count times, in die order. *buf
+// is scratch space for the die areas and zero costs, grown as needed
+// and kept for the next call.
+func (e *Engine) packageGeometry(s *system.System, buf *[]float64) (float64, error) {
+	n := s.DieCount()
+	if cap(*buf) < 2*n {
+		*buf = make([]float64, 2*n)
+	}
+	b := (*buf)[:2*n]
+	areas, zeros := b[:0:n], b[n:]
+	clear(zeros)
+	for i := range s.Placements {
+		p := &s.Placements[i]
+		area := p.Chiplet.DieArea()
+		for j := 0; j < p.Count; j++ {
+			areas = append(areas, area)
+		}
 	}
 	asm := packaging.Assembly{DieAreasMM2: areas, KGDCosts: zeros}
 	if s.Envelope != nil {

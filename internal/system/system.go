@@ -268,16 +268,28 @@ func (s System) Validate(db *tech.Database) error {
 		}
 	}
 	// Chiplet names must be used consistently: one name, one design.
-	byName := make(map[string]Chiplet)
-	for _, c := range s.Dies() {
-		if prev, ok := byName[c.Name]; ok {
-			if prev.Node != c.Node || prev.DieArea() != c.DieArea() {
-				return fmt.Errorf("system: %q uses chiplet name %q for two different designs",
-					s.Name, c.Name)
+	// Each placement is checked against the first placement with its
+	// name, which is where the first die of that name sits. A placement
+	// that is its name's first and mounts more than one copy is checked
+	// against itself, as its second die would be: only a NaN area fails
+	// that.
+	for i := range s.Placements {
+		p := &s.Placements[i]
+		first := i
+		for j := 0; j < i; j++ {
+			if s.Placements[j].Chiplet.Name == p.Chiplet.Name {
+				first = j
+				break
 			}
+		}
+		if first == i && p.Count == 1 {
 			continue
 		}
-		byName[c.Name] = c
+		prev := &s.Placements[first].Chiplet
+		if prev.Node != p.Chiplet.Node || prev.DieArea() != p.Chiplet.DieArea() {
+			return fmt.Errorf("system: %q uses chiplet name %q for two different designs",
+				s.Name, p.Chiplet.Name)
+		}
 	}
 	return nil
 }

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # verify-clean.sh — run the tier-1 checks on the committed tree alone:
 # gofmt, go vet, go build and go test inside a throwaway detached
-# worktree of HEAD, then build explore and actuaryd there and run the
+# worktree of HEAD, plus the short tests of the costbench module (its
+# own module, which the root ./... does not reach but which imports the
+# cost engines), then build explore and actuaryd there and run the
 # kill-and-resume and stream-smoke harnesses against them, so an
 # uncommitted, ignored or stray local file can never make a commit look
 # green. The worktree is removed on exit, pass or fail.
@@ -37,6 +39,7 @@ echo "vet: ok"
 go build ./...
 echo "build: ok"
 go test "$@" ./...
+(cd costbench && go test -short ./...)
 go build -o explore ./cmd/explore
 go build -o actuaryd ./cmd/actuaryd
 bash scripts/kill-and-resume.sh
