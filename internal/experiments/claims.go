@@ -33,7 +33,10 @@ func claim(id, statement string, measured, lo, hi float64) Claim {
 	}
 }
 
-// Claims evaluates every §4–§6 in-text number against the model.
+// Claims evaluates every §4–§6 in-text number against the model. It
+// prices only the figure cells the claims read: two Figure 4 bars, the
+// 16- and 64-core Figure 5 rows and Figure 10's k=4, n=6
+// configuration, each through the same per-cell code as the figure.
 func Claims(db *tech.Database, params packaging.Params) ([]Claim, error) {
 	eng, err := cost.NewEngine(db, params)
 	if err != nil {
@@ -57,11 +60,7 @@ func Claims(db *tech.Database, params packaging.Params) ([]Claim, error) {
 		soc5.ChipDefects/soc5.Total(), 0.50, 0.70))
 
 	// §4.1: D2D and packaging overhead >25% for MCM at 14nm.
-	fig4, err := Fig4(eng)
-	if err != nil {
-		return nil, err
-	}
-	mcm14, err := fig4.Bar("14nm", 2, 800, packaging.MCM)
+	mcm14, err := claimFig4Bar(eng, "14nm", 2, 800, packaging.MCM)
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +70,7 @@ func Claims(db *tech.Database, params packaging.Params) ([]Claim, error) {
 		mcm14.PackagingShare()+mcm14.RawChips/mcm14.Total()*d2dShare, 0.25, 0.60))
 
 	// §4.1: 2.5D packaging ≈50% of total at 7nm, 900 mm².
-	tpd7, err := fig4.Bar("7nm", 3, 900, packaging.TwoPointFiveD)
+	tpd7, err := claimFig4Bar(eng, "7nm", 3, 900, packaging.TwoPointFiveD)
 	if err != nil {
 		return nil, err
 	}
@@ -81,12 +80,13 @@ func Claims(db *tech.Database, params packaging.Params) ([]Claim, error) {
 
 	// §4.1 (Figure 5): chiplet integration saves up to ~50% of the
 	// die cost at 64 cores; packaging ≈30% for the 16-core system.
-	fig5, err := Fig5(db, params)
+	cfg5 := DefaultFig5Config()
+	cfg5.CoreCounts = []int{16, 64}
+	fig5, err := Fig5WithConfig(db, params, cfg5)
 	if err != nil {
 		return nil, err
 	}
-	last := fig5.Rows[len(fig5.Rows)-1]
-	first := fig5.Rows[0]
+	first, last := fig5.Rows[0], fig5.Rows[1]
 	claims = append(claims,
 		claim("amd-die-saving",
 			"AMD 64-core: chiplet die-cost saving ≈50% vs monolithic",
@@ -219,15 +219,16 @@ func Claims(db *tech.Database, params packaging.Params) ([]Claim, error) {
 
 	// §5.3 (Figure 10): with full FSMC reuse the amortized NRE is
 	// negligible and multi-chip wins on average.
-	fig10, err := Fig10(ev)
+	fig10, err := fig10Config(ev, 4, 6)
 	if err != nil {
 		return nil, err
 	}
-	big, err := fig10.Cell(4, 6, packaging.MCM)
+	fsmc := Fig10Result{Cells: fig10}
+	big, err := fsmc.Cell(4, 6, packaging.MCM)
 	if err != nil {
 		return nil, err
 	}
-	socAvg, err := fig10.Cell(4, 6, packaging.SoC)
+	socAvg, err := fsmc.Cell(4, 6, packaging.SoC)
 	if err != nil {
 		return nil, err
 	}
@@ -270,6 +271,16 @@ func Claims(db *tech.Database, params packaging.Params) ([]Claim, error) {
 		a5/a14, 0.05, 0.999))
 
 	return claims, nil
+}
+
+// claimFig4Bar prices one Figure 4 bar: the node's reference, then the
+// bar.
+func claimFig4Bar(eng *cost.Engine, node string, k int, area float64, scheme packaging.Scheme) (Fig4Bar, error) {
+	ref, err := fig4Reference(eng, node)
+	if err != nil {
+		return Fig4Bar{}, err
+	}
+	return fig4Bar(eng, node, k, area, scheme, ref)
 }
 
 func re(eng *cost.Engine, node string, area float64, k int, scheme packaging.Scheme) (cost.Breakdown, error) {

@@ -76,91 +76,99 @@ func (r Fig10Result) Cell(k, n int, scheme packaging.Scheme) (Fig10Cell, error) 
 // Fig10 reproduces Figure 10: the normalized average total cost of
 // the FSMC reuse scheme.
 func Fig10(ev *explore.Evaluator) (Fig10Result, error) {
-	params := ev.Cost.Params()
-	var res Fig10Result
+	res := Fig10Result{Cells: make([]Fig10Cell, 0, len(Fig10Configs)*len(Fig10Schemes))}
 	for _, cfg := range Fig10Configs {
-		cols, err := reuse.Collocations(cfg.N, cfg.K)
+		cells, err := fig10Config(ev, cfg.K, cfg.N)
 		if err != nil {
 			return Fig10Result{}, err
 		}
-		// SoC comparators: one monolithic chip per collocation, with
-		// the T-module designs shared across the whole family.
-		var socs []system.System
-		for _, col := range cols {
-			var modules []system.Module
-			for t, count := range col.Counts {
-				for i := 0; i < count; i++ {
-					modules = append(modules, system.Module{
-						Name: fmt.Sprintf("T%d-module", t+1), AreaMM2: Fig10SocketArea, Scalable: true,
-					})
-				}
-			}
-			socs = append(socs, system.System{
-				Name:   col.Label() + "-SoC",
-				Scheme: packaging.SoC,
-				Placements: []system.Placement{{
-					Chiplet: system.Chiplet{Name: col.Label() + "-soc-die", Node: Fig10Node, Modules: modules},
-					Count:   1,
-				}},
-				Quantity: Fig10Quantity,
-			})
-		}
-		socCosts, err := ev.Portfolio(socs, nre.PerSystemUnit)
-		if err != nil {
-			return Fig10Result{}, fmt.Errorf("experiments: fig10 SoC family (k=%d,n=%d): %w", cfg.K, cfg.N, err)
-		}
-		var socREAvg float64
-		for _, s := range socs {
-			socREAvg += socCosts[s.Name].RE.Total()
-		}
-		socREAvg /= float64(len(socs))
-
-		addCell := func(scheme packaging.Scheme, costs map[string]explore.TotalCost, names []string) {
-			cell := Fig10Cell{K: cfg.K, N: cfg.N, Scheme: scheme, Systems: len(names)}
-			for _, name := range names {
-				tc := costs[name]
-				cell.AvgRE += tc.RE.Total()
-				cell.AvgNREModules += tc.NRE.Modules
-				cell.AvgNREChips += tc.NRE.Chips
-				cell.AvgNREPkgs += tc.NRE.Packages
-				cell.AvgNRED2D += tc.NRE.D2D
-			}
-			f := float64(len(names)) * socREAvg
-			cell.AvgRE /= f
-			cell.AvgNREModules /= f
-			cell.AvgNREChips /= f
-			cell.AvgNREPkgs /= f
-			cell.AvgNRED2D /= f
-			res.Cells = append(res.Cells, cell)
-		}
-
-		socNames := make([]string, len(socs))
-		for i, s := range socs {
-			socNames[i] = s.Name
-		}
-		addCell(packaging.SoC, socCosts, socNames)
-
-		for _, scheme := range []packaging.Scheme{packaging.MCM, packaging.TwoPointFiveD} {
-			family, err := reuse.FSMC(reuse.FSMCConfig{
-				Node: Fig10Node, ModuleAreaMM2: Fig10SocketArea,
-				Types: cfg.N, Sockets: cfg.K,
-				Scheme: scheme, QuantityPerSystem: Fig10Quantity, Params: params,
-			})
-			if err != nil {
-				return Fig10Result{}, err
-			}
-			costs, err := ev.Portfolio(family, nre.PerSystemUnit)
-			if err != nil {
-				return Fig10Result{}, fmt.Errorf("experiments: fig10 %v (k=%d,n=%d): %w", scheme, cfg.K, cfg.N, err)
-			}
-			names := make([]string, len(family))
-			for i, s := range family {
-				names[i] = s.Name
-			}
-			addCell(scheme, costs, names)
-		}
+		res.Cells = append(res.Cells, cells...)
 	}
 	return res, nil
+}
+
+// fig10Config prices one (k, n) configuration of Figure 10: its SoC,
+// MCM and 2.5D bars, in that order.
+func fig10Config(ev *explore.Evaluator, k, n int) ([]Fig10Cell, error) {
+	cols, err := reuse.Collocations(n, k)
+	if err != nil {
+		return nil, err
+	}
+	moduleNames := make([]string, n)
+	for t := range moduleNames {
+		moduleNames[t] = fmt.Sprintf("T%d-module", t+1)
+	}
+	// SoC comparators: one monolithic chip per collocation, with the
+	// T-module designs shared across the whole family.
+	socs := make([]system.System, 0, len(cols))
+	for _, col := range cols {
+		modules := make([]system.Module, 0, col.Size())
+		for t, count := range col.Counts {
+			for i := 0; i < count; i++ {
+				modules = append(modules, system.Module{
+					Name: moduleNames[t], AreaMM2: Fig10SocketArea, Scalable: true,
+				})
+			}
+		}
+		label := col.Label()
+		socs = append(socs, system.System{
+			Name:   label + "-SoC",
+			Scheme: packaging.SoC,
+			Placements: []system.Placement{{
+				Chiplet: system.Chiplet{Name: label + "-soc-die", Node: Fig10Node, Modules: modules},
+				Count:   1,
+			}},
+			Quantity: Fig10Quantity,
+		})
+	}
+	socCosts, err := ev.Portfolio(socs, nre.PerSystemUnit)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: fig10 SoC family (k=%d,n=%d): %w", k, n, err)
+	}
+	var socREAvg float64
+	for _, s := range socs {
+		socREAvg += socCosts[s.Name].RE.Total()
+	}
+	socREAvg /= float64(len(socs))
+
+	cells := make([]Fig10Cell, 0, len(Fig10Schemes))
+	addCell := func(scheme packaging.Scheme, costs map[string]explore.TotalCost, family []system.System) {
+		cell := Fig10Cell{K: k, N: n, Scheme: scheme, Systems: len(family)}
+		for _, s := range family {
+			tc := costs[s.Name]
+			cell.AvgRE += tc.RE.Total()
+			cell.AvgNREModules += tc.NRE.Modules
+			cell.AvgNREChips += tc.NRE.Chips
+			cell.AvgNREPkgs += tc.NRE.Packages
+			cell.AvgNRED2D += tc.NRE.D2D
+		}
+		f := float64(len(family)) * socREAvg
+		cell.AvgRE /= f
+		cell.AvgNREModules /= f
+		cell.AvgNREChips /= f
+		cell.AvgNREPkgs /= f
+		cell.AvgNRED2D /= f
+		cells = append(cells, cell)
+	}
+	addCell(packaging.SoC, socCosts, socs)
+
+	params := ev.Cost.Params()
+	for _, scheme := range []packaging.Scheme{packaging.MCM, packaging.TwoPointFiveD} {
+		family, err := reuse.FSMC(reuse.FSMCConfig{
+			Node: Fig10Node, ModuleAreaMM2: Fig10SocketArea,
+			Types: n, Sockets: k,
+			Scheme: scheme, QuantityPerSystem: Fig10Quantity, Params: params,
+		})
+		if err != nil {
+			return nil, err
+		}
+		costs, err := ev.Portfolio(family, nre.PerSystemUnit)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: fig10 %v (k=%d,n=%d): %w", scheme, k, n, err)
+		}
+		addCell(scheme, costs, family)
+	}
+	return cells, nil
 }
 
 // Render writes the FSMC table.

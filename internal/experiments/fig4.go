@@ -75,49 +75,65 @@ func Fig4(eng *cost.Engine) (Fig4Result, error) {
 		Panels:    make(map[string]map[int][]Fig4Bar, len(Fig4Nodes)),
 		Reference: make(map[string]float64, len(Fig4Nodes)),
 	}
-	d2d := dtod.Fraction{F: Fig4D2DFraction}
 	for _, node := range Fig4Nodes {
-		ref, err := eng.RE(system.Monolithic("ref", node, 100, 1))
+		ref, err := fig4Reference(eng, node)
 		if err != nil {
-			return Fig4Result{}, fmt.Errorf("experiments: fig4 reference %s: %w", node, err)
+			return Fig4Result{}, err
 		}
-		res.Reference[node] = ref.Total()
+		res.Reference[node] = ref
 		res.Panels[node] = make(map[int][]Fig4Bar, len(Fig4ChipletCounts))
 		for _, k := range Fig4ChipletCounts {
-			var bars []Fig4Bar
+			bars := make([]Fig4Bar, 0, len(Fig4AreasMM2)*len(Fig4Schemes))
 			for _, area := range Fig4AreasMM2 {
 				for _, scheme := range Fig4Schemes {
-					kk := k
-					sch := scheme
-					if scheme == packaging.SoC {
-						kk = 1
-					}
-					s, err := system.PartitionEqual("cell", node, area, kk, sch, d2d, 1)
+					b, err := fig4Bar(eng, node, k, area, scheme, ref)
 					if err != nil {
 						return Fig4Result{}, err
 					}
-					b, err := eng.RE(s)
-					if err != nil {
-						return Fig4Result{}, fmt.Errorf("experiments: fig4 %s k=%d %.0fmm² %v: %w",
-							node, kk, area, sch, err)
-					}
-					// Per-area normalization: the reference is the
-					// 100 mm² SoC's cost per mm².
-					n := res.Reference[node] / 100 * area
-					bars = append(bars, Fig4Bar{
-						Node: node, Chiplets: kk, AreaMM2: area, Scheme: sch,
-						RawChips:       b.RawChips / n,
-						ChipDefects:    b.ChipDefects / n,
-						RawPackage:     b.RawPackage / n,
-						PackageDefects: b.PackageDefects / n,
-						WastedKGD:      b.WastedKGD / n,
-					})
+					bars = append(bars, b)
 				}
 			}
 			res.Panels[node][k] = bars
 		}
 	}
 	return res, nil
+}
+
+// fig4Reference returns the absolute RE total of node's 100 mm² SoC,
+// the normalization base of the node's panels.
+func fig4Reference(eng *cost.Engine, node string) (float64, error) {
+	ref, err := eng.RE(system.Monolithic("ref", node, 100, 1))
+	if err != nil {
+		return 0, fmt.Errorf("experiments: fig4 reference %s: %w", node, err)
+	}
+	return ref.Total(), nil
+}
+
+// fig4Bar prices one bar of node's k-chiplet panel (the SoC bar is a
+// single die) and normalizes it by the node's reference total ref.
+func fig4Bar(eng *cost.Engine, node string, k int, area float64, scheme packaging.Scheme, ref float64) (Fig4Bar, error) {
+	if scheme == packaging.SoC {
+		k = 1
+	}
+	s, err := system.PartitionEqual("cell", node, area, k, scheme, dtod.Fraction{F: Fig4D2DFraction}, 1)
+	if err != nil {
+		return Fig4Bar{}, err
+	}
+	b, err := eng.RE(s)
+	if err != nil {
+		return Fig4Bar{}, fmt.Errorf("experiments: fig4 %s k=%d %.0fmm² %v: %w", node, k, area, scheme, err)
+	}
+	// Per-area normalization: the reference is the 100 mm² SoC's cost
+	// per mm².
+	n := ref / 100 * area
+	return Fig4Bar{
+		Node: node, Chiplets: k, AreaMM2: area, Scheme: scheme,
+		RawChips:       b.RawChips / n,
+		ChipDefects:    b.ChipDefects / n,
+		RawPackage:     b.RawPackage / n,
+		PackageDefects: b.PackageDefects / n,
+		WastedKGD:      b.WastedKGD / n,
+	}, nil
 }
 
 // Bar returns the grid cell for (node, k, area, scheme); k is the

@@ -46,6 +46,8 @@ func Robustness(db *tech.Database, params packaging.Params, n int, rel float64) 
 	}
 	space := montecarlo.DefaultSpace(rel)
 	d2d := dtod.Fraction{F: Fig4D2DFraction}
+	fig5 := DefaultFig5Config()
+	fig5.CoreCounts = []int{64}
 
 	type study struct {
 		name   string
@@ -87,11 +89,11 @@ func Robustness(db *tech.Database, params packaging.Params, n int, rel float64) 
 		{
 			name: "64-core chiplet beats monolithic (ratio < 1)",
 			metric: func(s montecarlo.Scenario) (float64, error) {
-				res, err := Fig5(s.DB, s.Params)
+				res, err := Fig5WithConfig(s.DB, s.Params, fig5)
 				if err != nil {
 					return 0, err
 				}
-				return res.Rows[len(res.Rows)-1].CostRatio(), nil
+				return res.Rows[0].CostRatio(), nil
 			},
 			holds: func(v float64) bool { return v < 1 },
 		},

@@ -148,8 +148,9 @@ func (s Space) Sample(r *rand.Rand, base *tech.Database, params packaging.Params
 	by := orPoint(s.MicroBumpYieldDelta, 0).Sample(r)
 	id := orPoint(s.InterposerDefectFactor, 1).Sample(r)
 
-	var nodes []tech.Node
-	for _, name := range base.Names() {
+	names := base.Names()
+	nodes := make([]tech.Node, 0, len(names))
+	for _, name := range names {
 		n, err := base.Node(name)
 		if err != nil {
 			return Scenario{}, err
@@ -266,7 +267,13 @@ func (r Result) ProbBelow(x float64) float64 {
 	return float64(idx) / float64(len(r.Samples))
 }
 
-// ProbWithin returns the fraction of samples in [lo, hi].
+// ProbWithin returns the fraction of samples in [lo, hi], both bounds
+// included (0 when hi < lo).
 func (r Result) ProbWithin(lo, hi float64) float64 {
-	return r.ProbBelow(hi+math.SmallestNonzeroFloat64) - r.ProbBelow(lo)
+	if hi < lo {
+		return 0
+	}
+	below := sort.SearchFloat64s(r.Samples, lo)
+	atMost := sort.Search(len(r.Samples), func(i int) bool { return r.Samples[i] > hi })
+	return float64(atMost-below) / float64(len(r.Samples))
 }

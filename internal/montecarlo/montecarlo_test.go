@@ -277,3 +277,29 @@ func TestPropertyQuantilesMonotone(t *testing.T) {
 		t.Error("single-sample statistics wrong")
 	}
 }
+
+func TestProbWithinInclusive(t *testing.T) {
+	res := Result{Samples: []float64{1, 2, 3}}
+	rep := Result{Samples: []float64{1, 2, 2, 2, 3}}
+	cases := []struct {
+		r      Result
+		lo, hi float64
+		want   float64
+	}{
+		{res, 1, 3, 1},
+		{res, 3, 3, 1.0 / 3},
+		{res, 1, 1, 1.0 / 3},
+		{res, 1.5, 2.5, 1.0 / 3},
+		{res, 0, 0.5, 0},
+		{res, 3.5, 9, 0},
+		{res, 3, 1, 0},
+		{rep, 2, 2, 3.0 / 5},
+		{rep, 1, 2, 4.0 / 5},
+		{rep, 2, 3, 4.0 / 5},
+	}
+	for _, c := range cases {
+		if got := c.r.ProbWithin(c.lo, c.hi); got != c.want {
+			t.Errorf("ProbWithin(%v, %v) on %v = %v, want %v", c.lo, c.hi, c.r.Samples, got, c.want)
+		}
+	}
+}

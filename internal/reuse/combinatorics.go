@@ -8,8 +8,7 @@ package reuse
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
+	"strconv"
 )
 
 // Choose returns the binomial coefficient C(n, k) as a float64 (the
@@ -69,20 +68,30 @@ func (c Collocation) Size() int {
 
 // Label renders a stable human-readable name such as "T1x2+T3".
 func (c Collocation) Label() string {
-	var parts []string
+	var stack [64]byte
+	b := stack[:0]
 	for t, v := range c.Counts {
-		switch {
-		case v == 1:
-			parts = append(parts, fmt.Sprintf("T%d", t+1))
-		case v > 1:
-			parts = append(parts, fmt.Sprintf("T%dx%d", t+1, v))
+		if v < 1 {
+			continue
+		}
+		if len(b) > 0 {
+			b = append(b, '+')
+		}
+		b = append(b, 'T')
+		b = strconv.AppendInt(b, int64(t+1), 10)
+		if v > 1 {
+			b = append(b, 'x')
+			b = strconv.AppendInt(b, int64(v), 10)
 		}
 	}
-	return strings.Join(parts, "+")
+	return string(b)
 }
 
 // Collocations enumerates every multiset of 1..k chiplets drawn from n
-// types, in deterministic order (by size, then lexicographic counts).
+// types, in deterministic order: by size, then by counts in descending
+// lexicographic order. The order comes from the generation itself (each
+// size is built separately, and each type takes its most copies
+// first), not from a sort.
 func Collocations(n, k int) ([]Collocation, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("reuse: need at least one chiplet type, got %d", n)
@@ -90,37 +99,31 @@ func Collocations(n, k int) ([]Collocation, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("reuse: need at least one socket, got %d", k)
 	}
-	var out []Collocation
-	for size := 1; size <= k; size++ {
-		counts := make([]int, n)
-		var rec func(typeIdx, remaining int)
-		rec = func(typeIdx, remaining int) {
-			if typeIdx == n-1 {
-				counts[typeIdx] = remaining
-				cp := make([]int, n)
-				copy(cp, counts)
-				out = append(out, Collocation{Counts: cp})
-				counts[typeIdx] = 0
-				return
-			}
-			for take := 0; take <= remaining; take++ {
-				counts[typeIdx] = take
-				rec(typeIdx+1, remaining-take)
-			}
-			counts[typeIdx] = 0
+	total := int(CollocationCount(n, k))
+	out := make([]Collocation, 0, total)
+	// Every collocation's counts are a capacity-capped window of one
+	// backing array.
+	backing := make([]int, total*n)
+	counts := make([]int, n)
+	// No resets needed: each loop ends at take 0, and every leaf sets
+	// the last count before copying.
+	var rec func(typeIdx, remaining int)
+	rec = func(typeIdx, remaining int) {
+		if typeIdx == n-1 {
+			counts[typeIdx] = remaining
+			i := len(out) * n
+			cp := backing[i : i+n : i+n]
+			copy(cp, counts)
+			out = append(out, Collocation{Counts: cp})
+			return
 		}
+		for take := remaining; take >= 0; take-- {
+			counts[typeIdx] = take
+			rec(typeIdx+1, remaining-take)
+		}
+	}
+	for size := 1; size <= k; size++ {
 		rec(0, size)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Size() != out[j].Size() {
-			return out[i].Size() < out[j].Size()
-		}
-		for t := range out[i].Counts {
-			if out[i].Counts[t] != out[j].Counts[t] {
-				return out[i].Counts[t] > out[j].Counts[t]
-			}
-		}
-		return false
-	})
 	return out, nil
 }
