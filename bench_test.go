@@ -388,7 +388,7 @@ func BenchmarkSessionStreamSweep(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				ch, err := s.Stream(ctx, src)
+				ch, err := s.Stream(ctx, src, StreamSpec{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -30,7 +30,7 @@ import (
 //     (Session.SearchBestCheckpointed, cmd/explore -mode search
 //     -checkpoint).
 //   - StreamCheckpoint: a scenario result stream reduced through the
-//     online aggregators (ReduceCheckpointed over a StreamOrdered
+//     online aggregators (ReduceCheckpointed over an ordered
 //     stream; /v1/stream's "resume" field replays delivery from its
 //     Next index).
 //   - FleetStreamCheckpoint: a fleet-striped stream — the merged
@@ -126,10 +126,10 @@ type SearchSlabScore struct {
 // StreamCheckpoint is the snapshot of a scenario result stream reduced
 // through the online aggregators: every result with index below Next
 // is accounted in the aggregators, nothing at or above it is. Feed it
-// an index-ordered stream (the StreamOrdered option) via
-// ReduceCheckpointed; resume by streaming again with
-// StreamResumeAt(Next) + StreamOrdered — or, against a daemon, a
-// scenario "resume" field with next_index Next.
+// an index-ordered stream (StreamSpec.Ordered) via ReduceCheckpointed;
+// resume by streaming again with StreamSpec{ResumeAt: Next, Ordered:
+// true} — or, against a daemon or through ScenarioConfig.StreamSource,
+// a scenario "resume" field with next_index Next.
 type StreamCheckpoint struct {
 	// Fingerprint identifies the scenario (ScenarioConfig.Fingerprint);
 	// callers should reject a checkpoint whose fingerprint does not

@@ -388,7 +388,7 @@ func TestStreamCheckpointResume(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		ch, err := s.Stream(ctx, src, actuary.StreamResumeAt(cp.Next), actuary.StreamOrdered())
+		ch, err := s.Stream(ctx, src, actuary.StreamSpec{ResumeAt: cp.Next, Ordered: true})
 		if err != nil {
 			return err
 		}
@@ -473,12 +473,31 @@ func TestScenarioResumeLocalBackend(t *testing.T) {
 			Quantity: 1_000_000, AreasMM2: []float64{200, 400, 600}, Counts: []int{1, 2, 3},
 		}},
 	}
-	if _, _, err := (actuary.ScenarioConfig{Resume: &actuary.StreamResume{NextIndex: -2}}).ResumeIndex(); err == nil {
-		t.Fatal("negative resume index should be rejected")
-	}
-	next, ordered, err := cfg.ResumeIndex()
-	if err != nil || next != 0 || ordered {
-		t.Fatalf("no-resume scenario: next=%d ordered=%v err=%v", next, ordered, err)
+	// The resume field decides the stream spec: absent streams
+	// unordered from 0, present streams ordered from next_index.
+	for _, tc := range []struct {
+		name   string
+		resume *actuary.StreamResume
+		want   actuary.StreamSpec
+		err    bool
+	}{
+		{"no resume", nil, actuary.StreamSpec{}, false},
+		{"resume 0", &actuary.StreamResume{NextIndex: 0}, actuary.StreamSpec{Ordered: true}, false},
+		{"resume n", &actuary.StreamResume{NextIndex: 7}, actuary.StreamSpec{ResumeAt: 7, Ordered: true}, false},
+		{"negative", &actuary.StreamResume{NextIndex: -2}, actuary.StreamSpec{}, true},
+	} {
+		c := cfg
+		c.Resume = tc.resume
+		src, spec, err := c.StreamSource()
+		if tc.err {
+			if err == nil || !strings.Contains(err.Error(), "negative index") {
+				t.Errorf("%s: want a negative-index error, got %v", tc.name, err)
+			}
+			continue
+		}
+		if err != nil || src == nil || spec != tc.want {
+			t.Errorf("%s: spec %+v (source %v, err %v), want %+v", tc.name, spec, src != nil, err, tc.want)
+		}
 	}
 	// Fingerprint ignores delivery configuration.
 	fpPlain, err := cfg.Fingerprint()
@@ -564,11 +583,11 @@ func TestCheckpointVersionMessage(t *testing.T) {
 	}
 }
 
-// TestStreamOrderedBoundedUnderSkew pins the credit-window bound: a
+// TestOrderedStreamBoundedUnderSkew pins the credit-window bound: a
 // stream whose head request is far slower than the rest must not pull
 // the whole source ahead while the head computes — dispatch stalls at
 // the window, so reorder memory stays O(in-flight), not O(stream).
-func TestStreamOrderedBoundedUnderSkew(t *testing.T) {
+func TestOrderedStreamBoundedUnderSkew(t *testing.T) {
 	s, err := actuary.NewSession(actuary.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
@@ -597,7 +616,7 @@ func TestStreamOrderedBoundedUnderSkew(t *testing.T) {
 	})}
 	ctx := context.Background()
 	const inFlight = 4
-	ch, err := s.Stream(ctx, src, actuary.StreamOrdered(), actuary.StreamInFlight(inFlight))
+	ch, err := s.Stream(ctx, src, actuary.StreamSpec{Ordered: true, InFlight: inFlight})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 
 	"chipletactuary"
@@ -77,8 +76,8 @@ type StreamRequest struct {
 }
 
 // config folds the request-level delivery fields into the scenario's
-// wire form — the shape /v1/stream and ScenarioConfig.Source already
-// honor — rejecting conflicts between the two levels.
+// wire form — the shape /v1/stream and ScenarioConfig.StreamSource
+// already honor — rejecting conflicts between the two levels.
 func (r StreamRequest) config() (actuary.ScenarioConfig, error) {
 	cfg := r.Scenario
 	if r.Shard.Count > 0 || r.Shard.Index != 0 {
@@ -323,8 +322,7 @@ type Prober interface {
 // can score, whichever probe surface produced them.
 type Status struct {
 	// Source names the surface the observation came from: "metricz"
-	// (GET /v1/metricz), "metrics" (Prometheus text fallback) or
-	// "session" (an in-process Session).
+	// (GET /v1/metricz) or "session" (an in-process Session).
 	Source string
 	// Workers is the backend's worker-pool target width (0 when the
 	// surface does not report it).
@@ -372,35 +370,20 @@ func (c *Client) Metricz(ctx context.Context) (*actuary.MetricsSnapshot, error) 
 	return &snap, nil
 }
 
-// Probe implements Prober over HTTP. It prefers GET /v1/metricz (one
-// strict-decoded JSON snapshot); against a daemon predating that
-// endpoint (a clean 404/405) it falls back to parsing the Prometheus
-// text of GET /metrics. Failures are *ProbeError values.
+// Probe implements Prober over HTTP: one GET /v1/metricz snapshot
+// (see Metricz) scored as a Status. Failures are *ProbeError values.
 func (c *Client) Probe(ctx context.Context) (Status, error) {
-	resp, err := c.fetch(ctx, "/v1/metricz")
+	snap, err := c.Metricz(ctx)
 	if err != nil {
 		return Status{}, &ProbeError{Err: err}
 	}
-	if resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed {
-		// An older daemon: /v1/metricz does not exist there, but the
-		// Prometheus text carries enough to score the backend.
-		resp.Body.Close()
-		return c.probeProm(ctx)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Status{}, &ProbeError{Err: serverError(resp)}
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return Status{}, &ProbeError{Err: transportError(err)}
-	}
-	var snap actuary.MetricsSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return Status{}, &ProbeError{Err: transportError(err)}
-	}
+	return statusOf("metricz", snap), nil
+}
+
+// statusOf scores a metrics snapshot as a probe observation.
+func statusOf(source string, snap *actuary.MetricsSnapshot) Status {
 	return Status{
-		Source:         "metricz",
+		Source:         source,
 		Workers:        snap.Workers,
 		QueueDepth:     snap.Session.QueueDepth,
 		InFlight:       snap.Session.InFlight,
@@ -408,76 +391,7 @@ func (c *Client) Probe(ctx context.Context) (Status, error) {
 		Utilization:    snap.Session.Utilization(),
 		Requests:       snap.Session.Requests(),
 		Failures:       snap.Session.Failures(),
-	}, nil
-}
-
-// probeProm scores a backend from its Prometheus text — the fallback
-// probe surface for daemons without /v1/metricz.
-func (c *Client) probeProm(ctx context.Context) (Status, error) {
-	resp, err := c.fetch(ctx, "/metrics")
-	if err != nil {
-		return Status{}, &ProbeError{Err: err}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Status{}, &ProbeError{Err: serverError(resp)}
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return Status{}, &ProbeError{Err: transportError(err)}
-	}
-	st := Status{Source: "metrics"}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, value, ok := strings.Cut(line, " ")
-		if !ok {
-			continue
-		}
-		// Labeled series ("actuary_requests_total{question=...}") sum
-		// into their family total.
-		if i := strings.IndexByte(name, '{'); i >= 0 {
-			name = name[:i]
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(value), 64)
-		if err != nil {
-			continue
-		}
-		switch name {
-		case "actuary_workers":
-			st.Workers = int(v)
-		case "actuary_queue_depth":
-			st.QueueDepth = int64(v)
-		case "actuary_queue_depth_mean":
-			st.MeanQueueDepth = v
-		case "actuary_in_flight":
-			st.InFlight = int64(v)
-		case "actuary_worker_utilization":
-			st.Utilization = v
-		case "actuary_requests_total":
-			st.Requests += int64(v)
-		case "actuary_request_failures_total":
-			st.Failures += int64(v)
-		}
-	}
-	return st, nil
-}
-
-// fetch issues one GET and returns the response whatever its status —
-// Probe needs the status code to pick its fallback, which the
-// error-mapping get() hides.
-func (c *Client) fetch(ctx context.Context, path string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return nil, transportError(err)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, transportError(err)
-	}
-	return resp, nil
 }
 
 // local adapts an in-process Session to the Backend interface.
@@ -506,34 +420,16 @@ func (l local) Stream(ctx context.Context, sr StreamRequest) (<-chan actuary.Res
 	if err != nil {
 		return nil, err
 	}
-	next, ordered, err := cfg.ResumeIndex()
+	src, spec, err := cfg.StreamSource()
 	if err != nil {
 		return nil, err
 	}
-	src, err := cfg.Source()
-	if err != nil {
-		return nil, err
-	}
-	spec := actuary.StreamSpec{Ordered: ordered}
-	if ordered {
-		spec.ResumeAt = next
-	}
-	return l.s.Stream(ctx, src, spec.Options()...)
+	return l.s.Stream(ctx, src, spec)
 }
 
 // Probe implements Prober on the wrapped session: an in-process
 // backend is always reachable, so the observation is a direct
 // Session.Metrics read.
 func (l local) Probe(context.Context) (Status, error) {
-	m := l.s.Metrics()
-	return Status{
-		Source:         "session",
-		Workers:        l.s.Workers(),
-		QueueDepth:     m.QueueDepth,
-		InFlight:       m.InFlight,
-		MeanQueueDepth: m.MeanQueueDepth(),
-		Utilization:    m.Utilization(),
-		Requests:       m.Requests(),
-		Failures:       m.Failures(),
-	}, nil
+	return statusOf("session", &actuary.MetricsSnapshot{Session: l.s.Metrics(), Workers: l.s.Workers()}), nil
 }

@@ -3,7 +3,6 @@ package client_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -41,49 +40,6 @@ func TestProbeMetricz(t *testing.T) {
 	}
 	if snap.Session.Requests() != 1 {
 		t.Errorf("Metricz requests = %d, want 1", snap.Session.Requests())
-	}
-}
-
-// TestProbeFallsBackToProm: a daemon predating /v1/metricz (404)
-// still yields a Status, parsed from the Prometheus text endpoint.
-func TestProbeFallsBackToProm(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, `# HELP actuary_workers Worker pool target width.
-# TYPE actuary_workers gauge
-actuary_workers 4
-actuary_queue_depth 2
-actuary_queue_depth_mean 1.5
-actuary_in_flight 3
-actuary_worker_utilization 0.75
-actuary_requests_total{question="total-cost"} 10
-actuary_requests_total{question="sweep-best"} 5
-actuary_request_failures_total{question="total-cost"} 1
-`)
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-	c, err := client.Dial(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Probe(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Source != "metrics" {
-		t.Errorf("Source = %q, want metrics (prom fallback)", st.Source)
-	}
-	if st.Workers != 4 || st.QueueDepth != 2 || st.InFlight != 3 {
-		t.Errorf("gauges = %d/%d/%d workers/depth/inflight, want 4/2/3",
-			st.Workers, st.QueueDepth, st.InFlight)
-	}
-	if st.MeanQueueDepth != 1.5 || st.Utilization != 0.75 {
-		t.Errorf("means = %v/%v depth/util, want 1.5/0.75", st.MeanQueueDepth, st.Utilization)
-	}
-	if st.Requests != 15 || st.Failures != 1 {
-		t.Errorf("totals = %d/%d requests/failures, want 15/1 (labeled series summed)",
-			st.Requests, st.Failures)
 	}
 }
 

@@ -248,11 +248,11 @@ func streamScenario(ctx context.Context, out io.Writer, s *actuary.Session, cfg 
 		}
 		cfg.Sweeps = sweeps
 	}
-	src, err := cfg.Source()
+	src, spec, err := cfg.StreamSource()
 	if err != nil {
 		return err
 	}
-	ch, err := s.Stream(ctx, src)
+	ch, err := s.Stream(ctx, src, spec)
 	if err != nil {
 		return err
 	}

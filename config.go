@@ -201,7 +201,8 @@ type ScenarioConfig struct {
 	// in-process. A fresh stream that wants to be resumable later asks
 	// for {"next_index": 0} up front, so every line's position is
 	// meaningful. Resume is delivery configuration, not workload: it
-	// stays out of Fingerprint, and Source() ignores it.
+	// stays out of Fingerprint, Source() ignores it, and StreamSource()
+	// turns it into the StreamSpec.
 	Resume *StreamResume `json:"resume,omitempty"`
 }
 
@@ -331,20 +332,26 @@ func ParsePolicy(name string) (AmortizationPolicy, error) {
 	return p, nil
 }
 
-// ResumeIndex returns the validated resume point of the scenario and
-// whether resumable (index-ordered) delivery was requested; scenarios
-// without a Resume field stream in completion order from index 0.
-// Both delivery paths — the server's /v1/stream handler and the
-// in-process client.Local backend — route through this one method, so
-// a scenario means the same thing whichever backend streams it.
-func (c ScenarioConfig) ResumeIndex() (int, bool, error) {
-	if c.Resume == nil {
-		return 0, false, nil
+// StreamSource compiles the scenario for Session.Stream: the request
+// source (see Source) and the delivery spec its Resume field asks for.
+// A scenario without Resume streams in completion order from index 0;
+// {"next_index": n} streams in source-index order from n. The server's
+// /v1/stream handler, client.Local and cmd/actuary all open scenario
+// streams through this one method, so a scenario means the same thing
+// whichever path streams it.
+func (c ScenarioConfig) StreamSource() (RequestSource, StreamSpec, error) {
+	var spec StreamSpec
+	if c.Resume != nil {
+		if c.Resume.NextIndex < 0 {
+			return nil, spec, fmt.Errorf("actuary: scenario %q resumes at negative index %d", c.Name, c.Resume.NextIndex)
+		}
+		spec = StreamSpec{ResumeAt: c.Resume.NextIndex, Ordered: true}
 	}
-	if c.Resume.NextIndex < 0 {
-		return 0, false, fmt.Errorf("actuary: scenario %q resumes at negative index %d", c.Name, c.Resume.NextIndex)
+	src, err := c.Source()
+	if err != nil {
+		return nil, StreamSpec{}, err
 	}
-	return c.Resume.NextIndex, true, nil
+	return src, spec, nil
 }
 
 // Fingerprint returns the stable identity of the scenario workload: a
@@ -377,16 +384,46 @@ func (c ScenarioConfig) Fingerprint() (string, error) {
 // for sweep points (multi-valued node/scheme/quantity axes add
 // segments) — so results can be correlated by ID as well as by index.
 func (c ScenarioConfig) Source() (RequestSource, error) {
-	if len(c.Systems) == 0 && len(c.Sweeps) == 0 {
-		return nil, fmt.Errorf("actuary: scenario %q has no systems and no sweeps", c.Name)
-	}
-	if err := validShardSpec(c.ShardIndex, c.ShardCount); err != nil {
-		return nil, fmt.Errorf("actuary: scenario %q: %w", c.Name, err)
-	}
-	shard := shardSpec{index: c.ShardIndex, count: c.ShardCount}
-	policy, err := ParsePolicy(c.Policy)
+	sc, err := c.compile()
 	if err != nil {
 		return nil, err
+	}
+	// One dealer is shared by every dealt stage so round-robin ownership
+	// balances across the whole scenario, not per stage. The chain is
+	// drained by a single consumer in stage order, so the dealt sequence
+	// — and therefore each shard's request set — is deterministic.
+	shard := shardSpec{index: c.ShardIndex, count: c.ShardCount}
+	dealer := &stripe{spec: shard}
+	stages := make([]func() RequestSource, len(sc.stages))
+	for i, st := range sc.stages {
+		stages[i] = st.source(sc.policy, shard, dealer)
+	}
+	return &chainSource{stages: stages}, nil
+}
+
+// compiledScenario is a validated scenario: its amortization policy and
+// the stages of its request stream, in stream order.
+type compiledScenario struct {
+	policy AmortizationPolicy
+	stages []scenarioStage
+}
+
+// compile validates the scenario (shard spec, policy, questions,
+// explicit systems, sweeps) and lays out the stages of its request
+// stream — the one step Source and PlanStreamShards share, so the two
+// agree on validation, error text and stage order. The stream is the
+// explicit systems first, then per sweep, per question.
+func (c ScenarioConfig) compile() (compiledScenario, error) {
+	var sc compiledScenario
+	if len(c.Systems) == 0 && len(c.Sweeps) == 0 {
+		return sc, fmt.Errorf("actuary: scenario %q has no systems and no sweeps", c.Name)
+	}
+	if err := validShardSpec(c.ShardIndex, c.ShardCount); err != nil {
+		return sc, fmt.Errorf("actuary: scenario %q: %w", c.Name, err)
+	}
+	policy, err := ParsePolicy(c.Policy)
+	if err != nil {
+		return sc, err
 	}
 	names := c.Questions
 	if len(names) == 0 {
@@ -395,55 +432,44 @@ func (c ScenarioConfig) Source() (RequestSource, error) {
 	questions := make([]Question, len(names))
 	for i, n := range names {
 		if questions[i], err = ParseQuestion(n); err != nil {
-			return nil, err
+			return sc, err
 		}
 	}
-	systems := make([]System, 0, len(c.Systems))
-	for _, sc := range c.Systems {
-		s, err := sc.Build()
+	// The explicit systems are already materialized (a scenario declares
+	// at most a handful), so their stage is a plain request slice.
+	var systems scenarioStage
+	for _, cfg := range c.Systems {
+		s, err := cfg.Build()
 		if err != nil {
-			return nil, err
+			return sc, err
 		}
-		systems = append(systems, s)
+		for _, q := range questions {
+			if perSystemQuestion(q) {
+				systems.reqs = append(systems.reqs, Request{ID: s.Name + "/" + q.String(), Question: q, System: s, Policy: policy})
+			}
+		}
 	}
-	sweeps := make([]compiledSweep, 0, len(c.Sweeps))
+	stages := []scenarioStage{systems}
 	for _, sw := range c.Sweeps {
 		cs, err := sw.compile(c.Name, questions)
 		if err != nil {
-			return nil, err
+			return sc, err
 		}
-		sweeps = append(sweeps, cs)
+		for _, q := range questions {
+			stages = append(stages, scenarioStage{sweep: &cs, q: q})
+		}
 	}
-
 	// The request count is known statically (pruning never raises it);
 	// reject question/target mismatches before streaming starts.
 	total := 0
-	for _, q := range questions {
-		if perSystemQuestion(q) {
-			total += len(systems)
-		}
-		for _, cs := range sweeps {
-			total += cs.size(q)
-		}
+	for _, st := range stages {
+		total += st.size()
 	}
 	if total == 0 {
-		return nil, fmt.Errorf("actuary: scenario %q compiles to no requests (questions %v fit nothing)",
+		return sc, fmt.Errorf("actuary: scenario %q compiles to no requests (questions %v fit nothing)",
 			c.Name, names)
 	}
-
-	// One dealer is shared by every striped stage so round-robin
-	// ownership balances across the whole scenario, not per stage. The
-	// chain is drained by a single consumer in stage order, so the
-	// dealt sequence — and therefore each shard's request set — is
-	// deterministic.
-	dealer := &stripe{spec: shard}
-	stages := []func() RequestSource{systemsStage(systems, questions, policy, dealer)}
-	for _, cs := range sweeps {
-		for _, q := range questions {
-			stages = append(stages, cs.stage(q, policy, shard, dealer))
-		}
-	}
-	return &chainSource{stages: stages}, nil
+	return compiledScenario{policy: policy, stages: stages}, nil
 }
 
 // Requests materializes the scenario into one Session.Evaluate batch
@@ -494,27 +520,17 @@ type StreamShardPlan struct {
 	count    int
 	total    int
 	perShard []int
-	stages   []ownerStageSpec
-}
-
-// ownerStageSpec describes one Source stage for the owner walk:
-// either a fixed number of dealer-striped emissions (explicit systems
-// and the odometer questions) or a generator walk whose emissions are
-// owned by candidate number (the grid-partitioned questions).
-type ownerStageSpec struct {
-	deals  int
-	points func() *SweepGenerator
-	skipK1 bool
+	stages   []scenarioStage
 }
 
 // PlanStreamShards validates that the scenario's stream can be striped
 // across count shards and compiles the striping plan. Scenarios asking
-// sweep-best or search-best are rejected: every shard answers those
-// once (the partial answers merge through SweepBestMerger instead), so
-// a striped stream could not reproduce the single-backend stream —
-// fan them out with the fleet sweep coordinator. A scenario already
-// carrying its own shard spec is rejected too: striping composes the
-// shard specs itself.
+// sweep-best or search-best of a sweep are rejected: every shard
+// answers those once (the partial answers merge through
+// SweepBestMerger instead), so a striped stream could not reproduce the
+// single-backend stream — fan them out with the fleet sweep
+// coordinator. A scenario already carrying its own shard spec is
+// rejected too: striping composes the shard specs itself.
 func (c ScenarioConfig) PlanStreamShards(count int) (*StreamShardPlan, error) {
 	if count < 1 {
 		return nil, fmt.Errorf("actuary: scenario %q cannot stripe across %d shards", c.Name, count)
@@ -523,79 +539,17 @@ func (c ScenarioConfig) PlanStreamShards(count int) (*StreamShardPlan, error) {
 		return nil, fmt.Errorf("actuary: scenario %q already carries shard spec %d/%d; striping derives shard specs itself",
 			c.Name, c.ShardIndex, c.ShardCount)
 	}
-	if len(c.Systems) == 0 && len(c.Sweeps) == 0 {
-		return nil, fmt.Errorf("actuary: scenario %q has no systems and no sweeps", c.Name)
-	}
-	if _, err := ParsePolicy(c.Policy); err != nil {
+	sc, err := c.compile()
+	if err != nil {
 		return nil, err
 	}
-	names := c.Questions
-	if len(names) == 0 {
-		names = []string{"total-cost"}
-	}
-	questions := make([]Question, len(names))
-	for i, n := range names {
-		var err error
-		if questions[i], err = ParseQuestion(n); err != nil {
-			return nil, err
-		}
-	}
-	for _, q := range questions {
-		if q == QuestionSweepBest || q == QuestionSearchBest {
+	for _, st := range sc.stages {
+		if st.split() == splitOncePerShard {
 			return nil, fmt.Errorf("actuary: scenario %q asks %v, which every shard answers once — a striped stream cannot reproduce the single-backend stream; use the fleet sweep coordinator for it",
-				c.Name, q)
+				c.Name, st.q)
 		}
 	}
-	for _, sc := range c.Systems {
-		if _, err := sc.Build(); err != nil {
-			return nil, err
-		}
-	}
-	sweeps := make([]compiledSweep, 0, len(c.Sweeps))
-	for _, sw := range c.Sweeps {
-		cs, err := sw.compile(c.Name, questions)
-		if err != nil {
-			return nil, err
-		}
-		sweeps = append(sweeps, cs)
-	}
-
-	// Mirror Source stage by stage: explicit systems first (dealt),
-	// then per sweep, per question. The dealer position is global
-	// across dealt stages, exactly as Source's one shared stripe is.
-	systemDeals := 0
-	for range c.Systems {
-		for _, q := range questions {
-			if perSystemQuestion(q) {
-				systemDeals++
-			}
-		}
-	}
-	stages := []ownerStageSpec{{deals: systemDeals}}
-	for _, cs := range sweeps {
-		for _, q := range questions {
-			switch {
-			case perSystemQuestion(q), q == QuestionCrossoverQuantity:
-				// Grid-partitioned stages: ownership is candidate
-				// number mod count, the same dealing Generator.Shard
-				// applies. The walk is lean — emission is decided by
-				// the scalar axes (ReticleFit reads scalars; the
-				// K == 1 skip of crossover-quantity reads the count
-				// axis), so no System is ever materialized.
-				cs := cs
-				stages = append(stages, ownerStageSpec{
-					points: func() *SweepGenerator { g := cs.points(); g.Lean(); return g },
-					skipK1: q == QuestionCrossoverQuantity,
-				})
-			case q == QuestionOptimalChipletCount, q == QuestionAreaCrossover:
-				// Odometer stages deal every emission round-robin; the
-				// emission count is static (area-crossover skips k < 2
-				// before dealing, which countsAbove already excludes).
-				stages = append(stages, ownerStageSpec{deals: cs.size(q)})
-			}
-		}
-	}
-	p := &StreamShardPlan{count: count, perShard: make([]int, count), stages: stages}
+	p := &StreamShardPlan{count: count, perShard: make([]int, count), stages: sc.stages}
 	owners := p.Owners()
 	for {
 		o, ok := owners.Next()
@@ -632,42 +586,45 @@ func (p *StreamShardPlan) Owners() *StreamShardOwners {
 // StreamShardOwners lazily walks the owner sequence of a
 // StreamShardPlan; see Owners.
 type StreamShardOwners struct {
-	plan    *StreamShardPlan
-	stage   int
-	started bool
+	plan  *StreamShardPlan
+	stage int
+	cur   *scenarioStage // nil between stages
 	// dealt is the global dealer position, shared across every dealt
 	// stage (one stripe per Source).
 	dealt     int
 	remaining int
 	gen       *SweepGenerator
-	skipK1    bool
 }
 
 // Next returns the shard owning the next stream index; false means
-// the stream is exhausted.
+// the stream is exhausted. Each stage splits as Source splits it: a
+// grid-candidate stage is owned by candidate number mod count (the
+// dealing Generator.Shard applies) over a lean walk — emission is
+// decided by the scalar axes, so no System is ever materialized — and
+// a dealt stage deals its static request count round-robin.
 func (o *StreamShardOwners) Next() (int, bool) {
 	for {
-		if !o.started {
+		if o.cur == nil {
 			if o.stage >= len(o.plan.stages) {
 				return 0, false
 			}
-			sp := o.plan.stages[o.stage]
+			o.cur = &o.plan.stages[o.stage]
 			o.stage++
-			o.remaining = sp.deals
-			o.skipK1 = sp.skipK1
-			o.gen = nil
-			if sp.points != nil {
-				o.gen = sp.points()
+			o.gen, o.remaining = nil, 0
+			if o.cur.split() == splitByCandidate {
+				o.gen = o.cur.sweep.points()
+				o.gen.Lean()
+			} else {
+				o.remaining = o.cur.size()
 			}
-			o.started = true
 		}
 		if o.gen != nil {
 			p, ok := o.gen.Next()
 			if !ok {
-				o.started = false
+				o.cur = nil
 				continue
 			}
-			if o.skipK1 && p.K == 1 {
+			if o.cur.skips(p) {
 				continue
 			}
 			return o.gen.LastCandidate() % o.plan.count, true
@@ -678,7 +635,7 @@ func (o *StreamShardOwners) Next() (int, bool) {
 			o.dealt++
 			return owner, true
 		}
-		o.started = false
+		o.cur = nil
 	}
 }
 
@@ -744,24 +701,6 @@ func (c *chainSource) Next() (Request, bool) {
 			return r, true
 		}
 		c.cur = nil
-	}
-}
-
-// systemsStage yields every per-system question of every explicit
-// system, in scenario order, dealt through the shard stripe. The
-// systems are already materialized (a scenario declares at most a
-// handful), so this is a plain slice.
-func systemsStage(systems []System, questions []Question, policy AmortizationPolicy, dealer *stripe) func() RequestSource {
-	return func() RequestSource {
-		var reqs []Request
-		for _, s := range systems {
-			for _, q := range questions {
-				if perSystemQuestion(q) {
-					reqs = append(reqs, Request{ID: s.Name + "/" + q.String(), Question: q, System: s, Policy: policy})
-				}
-			}
-		}
-		return stripedSource(SliceSource(reqs), dealer)
 	}
 }
 
@@ -910,16 +849,6 @@ func (cs compiledSweep) points() *SweepGenerator {
 	return cs.grid.Points()
 }
 
-// shardPoints returns a fresh iterator restricted to the scenario's
-// shard of the grid's candidate space (the whole grid when unsharded).
-func (cs compiledSweep) shardPoints(sp shardSpec) *SweepGenerator {
-	gen := cs.points()
-	if sp.count > 0 {
-		gen.Shard(sp.index, sp.count)
-	}
-	return gen
-}
-
 // countsAbove returns how many count-axis entries exceed k.
 func (cs compiledSweep) countsAbove(k int) int {
 	n := 0
@@ -951,111 +880,176 @@ func (cs compiledSweep) size(q Question) int {
 	return 0
 }
 
-// stage returns the lazily constructed sub-source answering question q
-// over this sweep. Ordering is question-major (each per-system
-// question re-walks the grid), matching the materialized Requests()
-// order of the pre-streaming schema; rebuilding a point's System per
-// question costs ~100 ns against the ~10 µs its evaluation takes.
-// Under a scenario shard spec the grid-walking questions partition at
-// the generator (candidate stripes), the odometer questions at the
-// dealer (request stripes), and sweep-best is emitted once per shard
-// with the spec stamped onto the request.
-func (cs compiledSweep) stage(q Question, policy AmortizationPolicy, shard shardSpec, dealer *stripe) func() RequestSource {
+// scenarioStage is one stage of a scenario's request stream: the
+// explicit systems' requests (sweep nil), or question q over one sweep.
+type scenarioStage struct {
+	reqs  []Request
+	sweep *compiledSweep
+	q     Question
+}
+
+// shardSplit is how a stage divides across the shards of a scenario.
+type shardSplit int
+
+const (
+	// splitByCandidate owns each grid candidate by candidate number mod
+	// count (Generator.Shard), pruning statistics preserved per shard.
+	splitByCandidate shardSplit = iota
+	// splitByDealer deals the stage's requests round-robin through the
+	// scenario's one shared stripe.
+	splitByDealer
+	// splitOncePerShard answers the stage once per shard over that
+	// shard's stripe of the grid, the shard spec stamped on the request.
+	splitOncePerShard
+)
+
+// split decides how the stage divides across shards: the grid-walking
+// questions by candidate, the explicit systems and the odometer
+// questions by dealer, and sweep-best/search-best once per shard.
+func (st scenarioStage) split() shardSplit {
+	switch {
+	case st.sweep == nil, st.q == QuestionOptimalChipletCount, st.q == QuestionAreaCrossover:
+		return splitByDealer
+	case st.q == QuestionSweepBest, st.q == QuestionSearchBest:
+		return splitOncePerShard
+	}
+	return splitByCandidate
+}
+
+// size returns how many requests the unsharded stage emits (before
+// pruning, which only removes points).
+func (st scenarioStage) size() int {
+	if st.sweep == nil {
+		return len(st.reqs)
+	}
+	return st.sweep.size(st.q)
+}
+
+// skips reports whether the stage's grid walk drops point p without a
+// request: crossover-quantity's monolithic point is the incumbent.
+func (st scenarioStage) skips(p DesignPoint) bool {
+	return st.q == QuestionCrossoverQuantity && p.K == 1
+}
+
+// source returns the lazily constructed sub-source of the stage,
+// restricted to the scenario's shard as split decides.
+func (st scenarioStage) source(policy AmortizationPolicy, shard shardSpec, dealer *stripe) func() RequestSource {
 	return func() RequestSource {
-		switch {
-		case perSystemQuestion(q):
-			src, err := SweepSource(cs.shardPoints(shard), q, policy)
-			if err != nil { // unreachable: the grid was validated in compile
-				return sourceFunc(func() (Request, bool) { return Request{}, false })
+		switch st.split() {
+		case splitByDealer:
+			return stripedSource(st.requests(policy, nil), dealer)
+		case splitOncePerShard:
+			src := st.requests(policy, nil)
+			if shard.count == 0 {
+				return src
 			}
-			return src
-
-		case q == QuestionCrossoverQuantity:
-			gen := cs.shardPoints(shard)
+			// Every shard answers its stripe of the grid; the partial
+			// answers merge into the whole-grid answer.
 			return sourceFunc(func() (Request, bool) {
-				for {
-					p, ok := gen.Next()
-					if !ok {
-						return Request{}, false
-					}
-					if p.K == 1 {
-						continue // the monolithic point is the incumbent
-					}
-					incumbent := fmt.Sprintf("%s-a%g-soc", cs.grid.ComboID(p.Node, p.Scheme, p.Quantity), p.AreaMM2)
-					return Request{
-						ID:         p.ID + "/" + q.String(),
-						Question:   q,
-						Incumbent:  system.Monolithic(incumbent, p.Node, p.AreaMM2, p.Quantity),
-						Challenger: p.System,
-					}, true
+				r, ok := src.Next()
+				if ok {
+					r.ID = ShardID(r.ID, shard.index, shard.count)
+					r.ShardIndex, r.ShardCount = shard.index, shard.count
 				}
+				return r, ok
 			})
+		}
+		gen := st.sweep.points()
+		if shard.count > 0 {
+			gen.Shard(shard.index, shard.count)
+		}
+		return st.requests(policy, gen)
+	}
+}
 
-		case q == QuestionOptimalChipletCount:
-			g := cs.grid
-			combos := sweep.NewOdometer(len(g.Nodes), len(g.Schemes), len(g.Quantities), len(g.AreasMM2))
-			return stripedSource(sourceFunc(func() (Request, bool) {
+// requests returns the unsharded requests of the stage; gen is the grid
+// walk of a candidate-split stage. Ordering is question-major (each
+// per-system question re-walks the grid), matching the materialized
+// Requests() order of the pre-streaming schema; rebuilding a point's
+// System per question costs ~100 ns against the ~10 µs its evaluation
+// takes.
+func (st scenarioStage) requests(policy AmortizationPolicy, gen *SweepGenerator) RequestSource {
+	cs, q := st.sweep, st.q
+	switch {
+	case cs == nil:
+		return SliceSource(st.reqs)
+
+	case perSystemQuestion(q):
+		src, err := SweepSource(gen, q, policy)
+		if err != nil { // unreachable: the grid was validated in compile
+			return SliceSource(nil)
+		}
+		return src
+
+	case q == QuestionCrossoverQuantity:
+		return sourceFunc(func() (Request, bool) {
+			for {
+				p, ok := gen.Next()
+				if !ok {
+					return Request{}, false
+				}
+				if st.skips(p) {
+					continue
+				}
+				incumbent := fmt.Sprintf("%s-a%g-soc", cs.grid.ComboID(p.Node, p.Scheme, p.Quantity), p.AreaMM2)
+				return Request{
+					ID:         p.ID + "/" + q.String(),
+					Question:   q,
+					Incumbent:  system.Monolithic(incumbent, p.Node, p.AreaMM2, p.Quantity),
+					Challenger: p.System,
+				}, true
+			}
+		})
+
+	case q == QuestionOptimalChipletCount:
+		g := cs.grid
+		combos := sweep.NewOdometer(len(g.Nodes), len(g.Schemes), len(g.Quantities), len(g.AreasMM2))
+		return sourceFunc(func() (Request, bool) {
+			idx, ok := combos.Next()
+			if !ok {
+				return Request{}, false
+			}
+			node, scheme := g.Nodes[idx[0]], g.Schemes[idx[1]]
+			quantity, area := g.Quantities[idx[2]], g.AreasMM2[idx[3]]
+			return Request{
+				ID:       fmt.Sprintf("%s-a%g/%s", g.ComboID(node, scheme, quantity), area, q),
+				Question: q, Node: node, ModuleAreaMM2: area, MaxK: cs.maxK,
+				Scheme: scheme, D2D: g.D2D, Quantity: quantity,
+			}, true
+		})
+
+	case q == QuestionAreaCrossover:
+		g := cs.grid
+		combos := sweep.NewOdometer(len(g.Nodes), len(g.Schemes), len(g.Counts))
+		return sourceFunc(func() (Request, bool) {
+			for {
 				idx, ok := combos.Next()
 				if !ok {
 					return Request{}, false
 				}
+				k := g.Counts[idx[2]]
+				if k < 2 {
+					continue
+				}
 				node, scheme := g.Nodes[idx[0]], g.Schemes[idx[1]]
-				quantity, area := g.Quantities[idx[2]], g.AreasMM2[idx[3]]
 				return Request{
-					ID:       fmt.Sprintf("%s-a%g/%s", g.ComboID(node, scheme, quantity), area, q),
-					Question: q, Node: node, ModuleAreaMM2: area, MaxK: cs.maxK,
-					Scheme: scheme, D2D: g.D2D, Quantity: quantity,
+					ID:       fmt.Sprintf("%s-k%d/%s", g.AxisID(node, scheme), k, q),
+					Question: q, Node: node, K: k, Scheme: scheme, D2D: g.D2D,
+					LoMM2: cs.lo, HiMM2: cs.hi,
 				}, true
-			}), dealer)
-
-		case q == QuestionAreaCrossover:
-			g := cs.grid
-			combos := sweep.NewOdometer(len(g.Nodes), len(g.Schemes), len(g.Counts))
-			return stripedSource(sourceFunc(func() (Request, bool) {
-				for {
-					idx, ok := combos.Next()
-					if !ok {
-						return Request{}, false
-					}
-					k := g.Counts[idx[2]]
-					if k < 2 {
-						continue
-					}
-					node, scheme := g.Nodes[idx[0]], g.Schemes[idx[1]]
-					return Request{
-						ID:       fmt.Sprintf("%s-k%d/%s", g.AxisID(node, scheme), k, q),
-						Question: q, Node: node, K: k, Scheme: scheme, D2D: g.D2D,
-						LoMM2: cs.lo, HiMM2: cs.hi,
-					}, true
-				}
-			}), dealer)
-
-		case q == QuestionSweepBest || q == QuestionSearchBest:
-			grid := cs.grid
-			emitted := false
-			return sourceFunc(func() (Request, bool) {
-				if emitted {
-					return Request{}, false
-				}
-				emitted = true
-				req := Request{
-					ID:       grid.Name + "/" + q.String(),
-					Question: q, Grid: &grid, TopK: cs.topK, Policy: policy,
-				}
-				if q == QuestionSearchBest {
-					req.Search = cs.search
-				}
-				if shard.count > 0 {
-					// Every shard answers its stripe of the grid; the
-					// partial answers merge into the whole-grid answer.
-					req.ID = ShardID(req.ID, shard.index, shard.count)
-					req.ShardIndex, req.ShardCount = shard.index, shard.count
-				}
-				return req, true
-			})
-		}
-		return sourceFunc(func() (Request, bool) { return Request{}, false })
+			}
+		})
 	}
+	// Sweep-best and search-best: one request over the whole grid.
+	grid := cs.grid
+	req := Request{
+		ID:       grid.Name + "/" + q.String(),
+		Question: q, Grid: &grid, TopK: cs.topK, Policy: policy,
+	}
+	if q == QuestionSearchBest {
+		req.Search = cs.search
+	}
+	return SliceSource([]Request{req})
 }
 
 // Build converts the configuration into a System. Validation against

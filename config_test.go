@@ -569,7 +569,7 @@ func TestPlanStreamShardsMatchesSource(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch, err := s.Stream(context.Background(), src, StreamOrdered())
+		ch, err := s.Stream(context.Background(), src, StreamSpec{Ordered: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -659,5 +659,43 @@ func TestPlanStreamShardsRejections(t *testing.T) {
 	best.Systems = nil
 	if _, err := best.PlanStreamShards(2); err == nil {
 		t.Error("sweep-best scenario accepted")
+	}
+}
+
+// TestSourceAndPlanRejectAlike feeds the same malformed scenarios to
+// Source and PlanStreamShards: both validate through one compile step,
+// so they must fail with the same error text.
+func TestSourceAndPlanRejectAlike(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*ScenarioConfig)
+		want   string
+	}{
+		{"empty", func(c *ScenarioConfig) { c.Systems, c.Sweeps = nil, nil }, "no systems and no sweeps"},
+		{"bad policy", func(c *ScenarioConfig) { c.Policy = "communism" }, "unknown policy"},
+		{"bad question", func(c *ScenarioConfig) { c.Questions = []string{"why"} }, "unknown question"},
+		{"bad system", func(c *ScenarioConfig) { c.Systems = []SystemConfig{{Scheme: "MCM"}} }, "needs a name"},
+		{"unnamed sweep", func(c *ScenarioConfig) { c.Sweeps = []SweepConfig{{Node: "5nm"}} }, "unnamed sweep"},
+		{"bad area", func(c *ScenarioConfig) { c.Sweeps[0].AreasMM2 = []float64{-1} }, "non-positive area"},
+		{"fits nothing", func(c *ScenarioConfig) {
+			c.Systems, c.Questions, c.Sweeps[0].Counts = nil, []string{"crossover-quantity"}, []int{1}
+		}, "fit nothing"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := planStreamTestScenario()
+			tc.mutate(&cfg)
+			_, srcErr := cfg.Source()
+			_, planErr := cfg.PlanStreamShards(2)
+			if srcErr == nil || planErr == nil {
+				t.Fatalf("accepted: Source %v, PlanStreamShards %v", srcErr, planErr)
+			}
+			if !strings.Contains(srcErr.Error(), tc.want) {
+				t.Errorf("Source error %q lacks %q", srcErr, tc.want)
+			}
+			if srcErr.Error() != planErr.Error() {
+				t.Errorf("Source says %q, PlanStreamShards says %q", srcErr, planErr)
+			}
+		})
 	}
 }

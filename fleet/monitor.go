@@ -114,7 +114,7 @@ type probeState struct {
 
 // Monitor probes a registry's backends and distills the answers into
 // per-backend health states and scheduling weights. Backends that
-// implement client.Prober (remote daemons via /v1/metricz or /metrics,
+// implement client.Prober (remote daemons via /v1/metricz,
 // local sessions via their own metrics) report load; backends that do
 // not are probed as always-healthy at weight 1.
 //

@@ -216,33 +216,47 @@ func (b *truncatingBackend) Stream(ctx context.Context, req client.StreamRequest
 // healthy backend, and the merged stream still matches the
 // single-backend one exactly. The healthy backend is held until the
 // first cut: otherwise it can finish every shard, speculative copies
-// included, before the flaky one gets to cut anything.
+// included, before the flaky one gets to cut anything. Without
+// speculation every shard has its one runner before the first cut, so
+// that cut must requeue; with speculation the solid backend may
+// instead speculate or steal the cut shards, so only the stream and
+// the cut are asserted there.
 func TestStreamSurvivesTruncatingBackend(t *testing.T) {
 	cfg := streamScenario()
 	want := singleBackendStream(t, cfg)
-	reg := NewRegistry()
-	flaky := &truncatingBackend{inner: client.Local(newSession(t)), after: 2, cut: make(chan struct{})}
-	if err := reg.Add("flaky", flaky); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Add("solid", &gatedBackend{inner: client.Local(newSession(t)), open: flaky.cut}); err != nil {
-		t.Fatal(err)
-	}
-	coord, err := New(reg, WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := coord.Stream(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameStream(t, drainStream(t, ch), want)
-	if flaky.cuts.Load() == 0 {
-		t.Error("the flaky backend never actually cut a stream")
-	}
-	st := coord.Stats()
-	if st.Requeues == 0 {
-		t.Errorf("stats = %+v; truncated streams should have requeued shards", st)
+	for _, tc := range []struct {
+		name         string
+		speculate    bool
+		wantRequeues bool
+	}{
+		{"speculation=off", false, true},
+		{"speculation=on", true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := NewRegistry()
+			flaky := &truncatingBackend{inner: client.Local(newSession(t)), after: 2, cut: make(chan struct{})}
+			if err := reg.Add("flaky", flaky); err != nil {
+				t.Fatal(err)
+			}
+			if err := reg.Add("solid", &gatedBackend{inner: client.Local(newSession(t)), open: flaky.cut}); err != nil {
+				t.Fatal(err)
+			}
+			coord, err := New(reg, WithShards(4), WithSpeculation(tc.speculate))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ch, err := coord.Stream(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameStream(t, drainStream(t, ch), want)
+			if flaky.cuts.Load() == 0 {
+				t.Error("the flaky backend never actually cut a stream")
+			}
+			if st := coord.Stats(); tc.wantRequeues && st.Requeues == 0 {
+				t.Errorf("stats = %+v; truncated streams should have requeued shards", st)
+			}
+		})
 	}
 }
 

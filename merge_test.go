@@ -131,7 +131,7 @@ func TestStreamAggregatorMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch, err := s.Stream(context.Background(), src)
+		ch, err := s.Stream(context.Background(), src, actuary.StreamSpec{})
 		if err != nil {
 			t.Fatal(err)
 		}

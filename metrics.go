@@ -197,7 +197,7 @@ type SessionMetrics struct {
 // MeanQueueDepth returns the average depth observed at enqueue time
 // (0 before any request). Each request samples the depth after its
 // whole slab entered the queue, so a stream that never backs up
-// reports a mean of about its slab size (1 under StreamSlabSize(1)).
+// reports a mean of about its slab size (1 under StreamSpec{SlabSize: 1}).
 func (m SessionMetrics) MeanQueueDepth() float64 {
 	if m.QueueDepthSamples == 0 {
 		return 0

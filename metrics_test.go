@@ -91,7 +91,7 @@ func TestSessionMetricsLiveDuringStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := s.Stream(t.Context(), src, actuary.StreamInFlight(2))
+	ch, err := s.Stream(t.Context(), src, actuary.StreamSpec{InFlight: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

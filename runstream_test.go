@@ -28,17 +28,8 @@ func collectLean(t *testing.T, s *actuary.Session, grid actuary.SweepGrid, lean 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var opts []actuary.StreamOption
-	if ordered {
-		opts = append(opts, actuary.StreamOrdered())
-	}
-	if resumeAt > 0 {
-		opts = append(opts, actuary.StreamResumeAt(resumeAt))
-	}
-	if slabSize > 0 {
-		opts = append(opts, actuary.StreamSlabSize(slabSize))
-	}
-	ch, err := s.Stream(context.Background(), src, opts...)
+	spec := actuary.StreamSpec{Ordered: ordered, ResumeAt: resumeAt, SlabSize: slabSize}
+	ch, err := s.Stream(context.Background(), src, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +156,7 @@ func TestRunBatchedAggregators(t *testing.T) {
 		// Ordered delivery pins the summation order: StreamStats.Cost.Sum
 		// is order-sensitive in the last ulp, and unordered completion
 		// order is nondeterministic on both paths.
-		ch, err := s.Stream(context.Background(), src, actuary.StreamOrdered())
+		ch, err := s.Stream(context.Background(), src, actuary.StreamSpec{Ordered: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,7 @@ import (
 
 // TestMetriczEndpoint: GET /v1/metricz serves the session's metrics
 // as one strict canonical-JSON document — the structured twin of the
-// Prometheus text endpoint, and what fleet.Monitor probes first.
+// Prometheus text endpoint, and what fleet.Monitor probes.
 func TestMetriczEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, []actuary.Option{actuary.WithWorkers(3)})
 	body, _ := json.Marshal([]actuary.Request{{Question: actuary.QuestionTotalCost,

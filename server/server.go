@@ -15,10 +15,11 @@
 //	GET  /v1/metricz    the same counters as one canonical-JSON snapshot
 //
 // /v1/stream accepts exactly the scenario files cmd/actuary -scenario
-// reads (ReadScenarioConfig), compiled through ScenarioConfig.Source
-// into a lazy request stream: the sweep grids are never materialized,
-// and the in-flight bound plus the client's read pace are the only
-// buffering between generation and the socket. A scenario "resume"
+// reads (ReadScenarioConfig), compiled through
+// ScenarioConfig.StreamSource into a lazy request stream: the sweep
+// grids are never materialized, and the in-flight bound plus the
+// client's read pace are the only buffering between generation and
+// the socket. A scenario "resume"
 // field switches the response to index-ordered delivery from the
 // given position, so a client that lost its connection can continue
 // the NDJSON from the last line it durably received.
@@ -47,7 +48,7 @@ type Option func(*Server)
 
 // WithInFlight bounds how many requests a /v1/stream response may
 // have queued or evaluating ahead of the client's read position (see
-// actuary.StreamInFlight). The default is the session's own default,
+// actuary.StreamSpec.InFlight). The default is the session's own default,
 // twice the worker count.
 func WithInFlight(n int) Option {
 	return func(s *Server) { s.inFlight = n }
@@ -159,28 +160,19 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// results come back in source-index order starting at next_index,
 	// with the skipped prefix regenerated but never re-evaluated — the
 	// NDJSON continues exactly where the interrupted response stopped.
-	next, ordered, err := cfg.ResumeIndex()
+	// In-stream ordering credit-limits dispatch, so a slow head request
+	// stalls generation instead of ballooning a reorder buffer — the
+	// back-pressure bound survives resumable delivery.
+	src, spec, err := cfg.StreamSource()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, actuary.ErrInvalidConfig, err.Error())
 		return
 	}
-	src, err := cfg.Source()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, actuary.ErrInvalidConfig, err.Error())
-		return
-	}
-	spec := actuary.StreamSpec{InFlight: s.inFlight}
-	if ordered {
-		// In-stream ordering credit-limits dispatch, so a slow head
-		// request stalls generation instead of ballooning a reorder
-		// buffer — the back-pressure bound survives resumable delivery.
-		spec.ResumeAt = next
-		spec.Ordered = true
-	}
+	spec.InFlight = s.inFlight
 	// r.Context() is canceled when the client disconnects, which stops
 	// generation and drains the workers — an abandoned stream cannot
 	// leak a goroutine.
-	ch, err := s.session.Stream(r.Context(), src, spec.Options()...)
+	ch, err := s.session.Stream(r.Context(), src, spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, actuary.ErrInvalidConfig, err.Error())
 		return
@@ -287,9 +279,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // handleMetricz answers GET /v1/metricz: the counters /metrics
 // exposes, as one strict-decodable canonical-JSON snapshot
-// (actuary.MetricsSnapshot) — the preferred probe of fleet.Monitor,
-// which falls back to parsing the Prometheus text against daemons
-// predating this endpoint.
+// (actuary.MetricsSnapshot) — the probe surface of fleet.Monitor.
 func (s *Server) handleMetricz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(actuary.MetricsSnapshotNow(s.session))

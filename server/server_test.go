@@ -598,7 +598,7 @@ func TestStreamNDJSONSlabPointIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		ch, err := local.Stream(context.Background(), src,
-			actuary.StreamOrdered(), actuary.StreamResumeAt(next), actuary.StreamSlabSize(1))
+			actuary.StreamSpec{Ordered: true, ResumeAt: next, SlabSize: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

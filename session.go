@@ -411,7 +411,7 @@ func (s *Session) Evaluate(ctx context.Context, reqs []Request) []Result {
 	// a mid-batch cancel never discards work a worker already finished
 	// (the pre-streaming Evaluate kept every computed result, and
 	// callers rely on that for partial batches).
-	ch, err := s.Stream(ctx, SliceSource(reqs), streamWorkerCap(len(reqs)), streamDeliverAll())
+	ch, err := s.stream(ctx, SliceSource(reqs), StreamSpec{}, len(reqs), true)
 	if err != nil { // unreachable: the source is never nil
 		for i := range reqs {
 			results[i] = s.fail(i, reqs[i], err)

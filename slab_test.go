@@ -31,11 +31,8 @@ func collectOrdered(t *testing.T, s *actuary.Session, grid actuary.SweepGrid, sh
 	if plain {
 		src = plainSource{src}
 	}
-	opts := []actuary.StreamOption{actuary.StreamOrdered(), actuary.StreamResumeAt(resumeAt)}
-	if slabSize > 0 {
-		opts = append(opts, actuary.StreamSlabSize(slabSize))
-	}
-	ch, err := s.Stream(context.Background(), src, opts...)
+	spec := actuary.StreamSpec{Ordered: true, ResumeAt: resumeAt, SlabSize: slabSize}
+	ch, err := s.Stream(context.Background(), src, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +99,8 @@ func TestSlabSweepBestMatchesPointPath(t *testing.T) {
 		}
 	}
 	run := func(slabSize int) []actuary.Result {
-		opts := []actuary.StreamOption{actuary.StreamOrdered()}
-		if slabSize > 0 {
-			opts = append(opts, actuary.StreamSlabSize(slabSize))
-		}
-		ch, err := s.Stream(context.Background(), actuary.SliceSource(reqs), opts...)
+		spec := actuary.StreamSpec{Ordered: true, SlabSize: slabSize}
+		ch, err := s.Stream(context.Background(), actuary.SliceSource(reqs), spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -135,135 +135,51 @@ func (s *sweepSource) Next() (Request, bool) {
 	}, true
 }
 
-// StreamOption tunes Session.Stream.
-type StreamOption func(*streamConfig)
-
-type streamConfig struct {
-	inFlight    int
-	hasInFlight bool
-	maxWorkers  int
-	deliverAll  bool
-	resumeAt    int
-	ordered     bool
-	slabSize    int
-}
-
-// streamWorkerCap bounds how many workers the stream spawns — used by
-// Evaluate so a two-request batch does not pay for a full pool.
-func streamWorkerCap(n int) StreamOption {
-	return func(c *streamConfig) { c.maxWorkers = n }
-}
-
-// streamDeliverAll makes workers deliver every computed result with a
-// blocking send, never dropping one on cancellation. Only safe when
-// the consumer is guaranteed to drain the channel until it closes —
-// Evaluate does; an abandoning consumer would leak the workers.
-func streamDeliverAll() StreamOption {
-	return func(c *streamConfig) { c.deliverAll = true }
-}
-
-// StreamInFlight bounds how many requests may be pulled from the
-// source ahead of the consumer (the job queue and result buffer each
-// hold this many). The default is twice the session's worker count;
-// values below 1 are raised to 1. Together with the worker count this
-// caps the stream's memory: at most inFlight queued + one slab per
-// running worker + inFlight buffered results exist at any moment,
-// independent of sweep size.
-func StreamInFlight(n int) StreamOption {
-	return func(c *streamConfig) { c.inFlight = n; c.hasInFlight = true }
-}
-
 // DefaultSlabSize is how many requests ride in one worker job when
-// StreamSlabSize is not given. Sized so dispatch overhead amortizes to
+// StreamSpec.SlabSize is zero. Sized so dispatch overhead amortizes to
 // noise while a slab still regenerates in microseconds on resume.
 const DefaultSlabSize = 32
 
-// StreamSlabSize sets how many requests one worker job carries (never
-// more than the in-flight bound); n ≤ 1 means one-request slabs (the
-// lever equivalence tests use to compare slab sizes). Slabs only batch
-// dispatch: the pump fills each one by calling the source's Next, and
-// results, indexes and resume cursors stay per-request, so checkpoints
-// taken under one slab size resume correctly under any other.
-func StreamSlabSize(n int) StreamOption {
-	return func(c *streamConfig) {
-		if n < 1 {
-			n = 1
-		}
-		c.slabSize = n
-	}
-}
-
-// StreamResumeAt resumes an interrupted stream: the first n requests
-// of the source are pulled and discarded without evaluation, and the
-// survivors are numbered from n — so Result.Index means the same
-// stream position it meant before the interruption. Skipping replays
-// only generation (a sweep point costs ~100 ns to regenerate against
-// the ~10 µs its evaluation took), which is what makes "skip to the
-// cursor" cheap however deep into the sweep the checkpoint was taken.
-// Values below 1 mean a fresh stream. Sources are deterministic
-// (grids walk in odometer order, scenarios compile stage by stage),
-// so request n of the resumed stream is exactly request n of the
-// original one.
-func StreamResumeAt(n int) StreamOption {
-	return func(c *streamConfig) { c.resumeAt = n }
-}
-
-// StreamOrdered makes the stream emit results in source-index order
-// instead of completion order — the delivery mode resumable streams
-// need, because "the first n results" must mean "the first n
-// requests" for a resume point to be meaningful across processes.
-//
-// Ordering inside the stream keeps memory bounded even when request
-// costs are wildly skewed: dispatch is credit-limited to a window of
-// in-flight + workers indexes beyond the contiguous emission
-// watermark, so a single slow request (a sweep-best at index 0 ahead
-// of a thousand cheap per-point requests, say) stalls generation
-// rather than ballooning a reorder buffer. The abandonment contract
-// is unchanged: consume until close, or cancel ctx.
-func StreamOrdered() StreamOption {
-	return func(c *streamConfig) { c.ordered = true }
-}
-
-// StreamSpec is the declarative form of the Stream tuning options —
-// one struct that server handlers, the client's Local backend and the
-// fleet stream coordinator all share, so the three call sites build
-// identical option lists instead of drifting. The zero value means
-// "session defaults, fresh unordered stream"; convert with Options.
+// StreamSpec tunes Session.Stream. The zero value means "session
+// defaults, fresh unordered stream"; ScenarioConfig.StreamSource derives
+// the spec a scenario's resume field asks for.
 type StreamSpec struct {
-	// InFlight bounds how many requests may be pulled ahead of the
-	// consumer; 0 keeps the session default (see StreamInFlight).
+	// InFlight bounds how many requests may be pulled from the source
+	// ahead of the consumer (the job queue and result buffer each hold
+	// this many); 0 keeps the default of twice the session's worker
+	// count (at least one slab). Together with the worker count this
+	// caps the stream's memory: at most InFlight queued + one slab per
+	// running worker + InFlight buffered results exist at any moment,
+	// independent of sweep size.
 	InFlight int
-	// SlabSize sets how many requests ride in one worker job; 0 keeps
-	// DefaultSlabSize (see StreamSlabSize).
+	// SlabSize sets how many requests one worker job carries (never more
+	// than the in-flight bound); 0 keeps DefaultSlabSize, 1 means
+	// one-request slabs (the lever equivalence tests use to compare slab
+	// sizes). Slabs only batch dispatch: the pump fills each one by
+	// calling the source's Next, and results, indexes and resume cursors
+	// stay per-request, so checkpoints taken under one slab size resume
+	// correctly under any other.
 	SlabSize int
-	// ResumeAt skips the first n requests without evaluation and
-	// numbers the survivors from n (see StreamResumeAt). A resumed
-	// stream is almost always also Ordered — an unordered resume
-	// cannot promise "the first n results were the first n requests".
+	// ResumeAt resumes an interrupted stream: the first ResumeAt
+	// requests of the source are pulled and discarded without
+	// evaluation, and the survivors are numbered from ResumeAt — so
+	// Result.Index means the same stream position it meant before the
+	// interruption. Skipping replays only generation (a sweep point costs
+	// ~100 ns to regenerate against the ~10 µs its evaluation took).
+	// Sources are deterministic (grids walk in odometer order, scenarios
+	// compile stage by stage), so request n of the resumed stream is
+	// exactly request n of the original one. A resumed stream is almost
+	// always also Ordered — an unordered resume cannot promise "the first
+	// n results were the first n requests".
 	ResumeAt int
-	// Ordered delivers results in source-index order (see
-	// StreamOrdered).
+	// Ordered emits results in source-index order instead of completion
+	// order — the delivery mode resumable streams need. Ordering keeps
+	// memory bounded even when request costs are wildly skewed: dispatch
+	// is credit-limited to a window of in-flight + workers indexes beyond
+	// the contiguous emission watermark, so a single slow request (a
+	// sweep-best at index 0 ahead of a thousand cheap per-point requests,
+	// say) stalls generation rather than ballooning a reorder buffer.
 	Ordered bool
-}
-
-// Options converts the spec to the option list Session.Stream takes.
-// Zero-valued fields contribute nothing, so the session defaults
-// apply exactly as if the option had not been given.
-func (sp StreamSpec) Options() []StreamOption {
-	var opts []StreamOption
-	if sp.InFlight > 0 {
-		opts = append(opts, StreamInFlight(sp.InFlight))
-	}
-	if sp.SlabSize > 0 {
-		opts = append(opts, StreamSlabSize(sp.SlabSize))
-	}
-	if sp.ResumeAt > 0 {
-		opts = append(opts, StreamResumeAt(sp.ResumeAt))
-	}
-	if sp.Ordered {
-		opts = append(opts, StreamOrdered())
-	}
-	return opts
 }
 
 // streamJob carries a slab: a run of requests whose stream indexes are
@@ -305,71 +221,66 @@ func shrinkPool(live *atomic.Int64, target int) bool {
 // Stream pulls requests lazily from src, fans them over the session's
 // worker pool, and emits Results on the returned channel as they
 // complete (not in generation order — correlate by Result.Index or
-// ID). The channel closes when the source is exhausted and all results
-// are delivered. Requests travel to the workers in slabs (see
-// StreamSlabSize) that the pump fills by calling src.Next. Generation
-// is demand-driven: no more than the in-flight bound (see
-// StreamInFlight) is ever queued ahead, so an arbitrarily large sweep
-// runs in bounded memory.
+// ID; spec.Ordered restores source order). The channel closes when the
+// source is exhausted and all results are delivered. Requests travel
+// to the workers in slabs (see StreamSpec.SlabSize) that the pump
+// fills by calling src.Next. Generation is demand-driven: no more than
+// the in-flight bound (see StreamSpec.InFlight) is ever queued ahead,
+// so an arbitrarily large sweep runs in bounded memory.
 //
 // Canceling ctx stops generation; requests already dequeued drain with
 // ErrCanceled results on a best-effort basis. The caller must either
 // consume the channel until it closes or cancel ctx — abandoning the
 // channel with a live context leaks the stream's workers.
-func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamOption) (<-chan Result, error) {
+func (s *Session) Stream(ctx context.Context, src RequestSource, spec StreamSpec) (<-chan Result, error) {
+	return s.stream(ctx, src, spec, 0, false)
+}
+
+// stream is Stream with Evaluate's two extra levers: maxWorkers > 0
+// caps how many workers the stream spawns (so a two-request batch does
+// not pay for a full pool), and deliverAll makes workers deliver every
+// computed result with a blocking send, never dropping one on
+// cancellation — only safe when the consumer is guaranteed to drain the
+// channel until it closes, as Evaluate does; an abandoning consumer
+// would leak the workers.
+func (s *Session) stream(ctx context.Context, src RequestSource, spec StreamSpec, maxWorkers int, deliverAll bool) (<-chan Result, error) {
 	if src == nil {
 		return nil, fmt.Errorf("actuary: Stream needs a request source")
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg := streamConfig{}
-	for _, opt := range opts {
-		opt(&cfg)
+	slab := spec.SlabSize
+	if slab <= 0 {
+		slab = DefaultSlabSize
+	}
+	inFlight := spec.InFlight
+	if inFlight <= 0 {
+		// A default window narrower than one slab would force fragmented
+		// slabs; widen to one slab's worth.
+		inFlight = max(2*s.Workers(), slab)
 	}
 	// The slab size never exceeds the in-flight bound: that bound is the
 	// stream's memory contract.
-	slab := cfg.slabSize
-	if slab == 0 {
-		slab = DefaultSlabSize
-	}
-	if !cfg.hasInFlight {
-		cfg.inFlight = 2 * s.Workers()
-		if cfg.inFlight < slab {
-			// A default window narrower than one slab would force
-			// fragmented slabs; widen to one slab's worth.
-			cfg.inFlight = slab
-		}
-	}
-	if cfg.inFlight < 1 {
-		cfg.inFlight = 1
-	}
-	if slab > cfg.inFlight {
-		slab = cfg.inFlight
-	}
-	workers := s.Workers()
-	if cfg.maxWorkers > 0 && cfg.maxWorkers < workers {
-		workers = cfg.maxWorkers
-	}
+	slab = min(slab, inFlight)
+	resumeAt := max(spec.ResumeAt, 0)
 	// targetWidth is the width running workers converge to: the
 	// session's live target (moved by Resize) under the stream's own
 	// cap. Fixed-bound sessions never move it.
 	targetWidth := func() int {
 		t := s.Workers()
-		if cfg.maxWorkers > 0 && t > cfg.maxWorkers {
-			t = cfg.maxWorkers
+		if maxWorkers > 0 && t > maxWorkers {
+			t = maxWorkers
 		}
-		if t < 1 {
-			t = 1
-		}
-		return t
+		return max(t, 1)
 	}
+	workers := targetWidth()
 	elastic := s.workerMax > s.workerMin
 	// The job queue is measured in requests, not sends: with slabs of
 	// size s it holds inFlight/s jobs, so the in-flight request bound
 	// holds whatever the slab size.
-	jobs := make(chan streamJob, max(1, cfg.inFlight/slab))
-	out := make(chan Result, cfg.inFlight)
+	jobs := make(chan streamJob, max(1, inFlight/slab))
+	out := make(chan Result, inFlight)
 	metrics := s.metrics
 	metrics.streamsStarted.Add(1)
 
@@ -379,8 +290,8 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 	// ordering changes delivery, not throughput — but it caps the
 	// reorder buffer at the window however skewed request costs are.
 	var credits chan struct{}
-	if cfg.ordered {
-		credits = make(chan struct{}, cfg.inFlight+workers)
+	if spec.Ordered {
+		credits = make(chan struct{}, inFlight+workers)
 		for i := 0; i < cap(credits); i++ {
 			credits <- struct{}{}
 		}
@@ -427,7 +338,7 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 			// Resume: drain the already-delivered prefix without dispatching
 			// or touching the queue metrics — replayed generation is not
 			// back-pressure. Cancellation still lands between pulls.
-			for i := 0; i < cfg.resumeAt; i++ {
+			for i := 0; i < resumeAt; i++ {
 				if ctx.Err() != nil {
 					return
 				}
@@ -440,7 +351,7 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 			// is filled. cap(credits) ≥ slab always holds, so the batch
 			// can never deadlock; the unused credits of a short final
 			// slab go straight back.
-			for i := max(cfg.resumeAt, 0); ; {
+			for i := resumeAt; ; {
 				if !acquireCredits(slab) {
 					return
 				}
@@ -494,7 +405,7 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 			wg.Done()
 		}()
 		deliver := func(r Result) {
-			if cfg.deliverAll {
+			if deliverAll {
 				out <- r // consumer drains until close, never blocks forever
 				return
 			}
@@ -575,7 +486,7 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 		metrics.streamsCompleted.Add(1)
 		close(out)
 	}()
-	if !cfg.ordered {
+	if !spec.Ordered {
 		return out, nil
 	}
 	// The reorder stage sits between the workers and the consumer; its
@@ -585,16 +496,16 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 	// drain burst: under slow-head skew the head's completion releases a
 	// whole window of emissions, and granting them together wakes the
 	// pump once instead of once per point.
-	ordered := make(chan Result, cfg.inFlight)
+	ordered := make(chan Result, inFlight)
 	go func() {
 		pprof.Do(ctx, pprof.Labels("stage", "deliver"), func(ctx context.Context) {
-			reorderResults(ctx, out, ordered, max(cfg.resumeAt, 0), cap(credits), returnCredits)
+			reorderResults(ctx, out, ordered, resumeAt, cap(credits), returnCredits)
 		})
 	}()
 	return ordered, nil
 }
 
-// reorderResults is StreamOrdered's reorder stage: it pumps a
+// reorderResults is an ordered stream's reorder stage: it pumps a
 // completion-order channel into out in index order starting at next,
 // closing out when done. window is the stream's credit window: the
 // producer never runs more than window indexes past the contiguous
@@ -602,7 +513,7 @@ func (s *Session) Stream(ctx context.Context, src RequestSource, opts ...StreamO
 // the buffer is a preallocated ring indexed by Index mod window — the
 // hot loop allocates nothing per result. onEmit runs once per drain
 // burst with the number of in-order emissions the burst produced;
-// StreamOrdered returns that many dispatch credits in one grant. When
+// the ordered stream returns that many dispatch credits in one grant. When
 // in closes with a gap outstanding (an interrupted stream), the
 // results beyond the gap flush in ascending order so no computed
 // result is silently dropped. A canceled ctx releases the goroutine
@@ -708,13 +619,13 @@ func Reduce(ch <-chan Result, aggs ...StreamAggregator) int {
 }
 
 // ReduceCheckpointed drains an index-ordered result stream (a
-// Session.Stream opened with StreamOrdered) through the
+// Session.Stream opened with StreamSpec.Ordered) through the
 // checkpoint's aggregators, persisting progress as it goes: after
 // every `every` accounted results the live checkpoint is handed to
 // save (marshal it — the wire form is a deep snapshot). cp.Next
 // advances with each accounted result, so the invariant "everything
 // below Next is aggregated, nothing at or above it" holds at every
-// save — exactly what a later StreamResumeAt(cp.Next) needs.
+// save — exactly what a later StreamSpec{ResumeAt: cp.Next} needs.
 //
 // Accounting stops — without failing — at the first interruption
 // artifact: a gap in the index sequence or an ErrCanceled result,

@@ -53,7 +53,7 @@ func TestStreamMatchesEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := s.Stream(context.Background(), src)
+	ch, err := s.Stream(context.Background(), src, actuary.StreamSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestStreamLazyGeneration(t *testing.T) {
 	}
 	src := &countingSource{inner: inner}
 	ctx, cancel := context.WithCancel(context.Background())
-	ch, err := s.Stream(ctx, src, actuary.StreamInFlight(4))
+	ch, err := s.Stream(ctx, src, actuary.StreamSpec{InFlight: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestStreamAggregatorsMatchFullSort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := s.Stream(context.Background(), src)
+	ch, err := s.Stream(context.Background(), src, actuary.StreamSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestStreamCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ch, err := s.Stream(ctx, src)
+	ch, err := s.Stream(ctx, src, actuary.StreamSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestStreamCancellation(t *testing.T) {
 // guards.
 func TestStreamErrors(t *testing.T) {
 	s := newTestSession(t)
-	if _, err := s.Stream(context.Background(), nil); err == nil {
+	if _, err := s.Stream(context.Background(), nil, actuary.StreamSpec{}); err == nil {
 		t.Error("nil source accepted")
 	}
 	grid := testGrid([]float64{400}, []int{2})
@@ -399,7 +399,7 @@ func TestStreamHugeSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newTestSession(t)
-	ch, err := s.Stream(context.Background(), src)
+	ch, err := s.Stream(context.Background(), src, actuary.StreamSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,29 +465,19 @@ func TestAggregatorsUnpackSweepBest(t *testing.T) {
 	}
 }
 
-// TestStreamSpecOptions pins the StreamSpec-to-option translation: a
-// zero spec contributes nothing (session defaults apply untouched)
-// and a populated spec streams exactly as the equivalent explicit
-// option list — the contract that lets server, client.Local and the
-// fleet stream coordinator share one tuning struct.
+// TestStreamSpecOptions pins the spec's resume contract: an ordered
+// stream resumed at n skips the first n requests and delivers exactly
+// the rest of the fresh ordered stream, numbered from n.
 func TestStreamSpecOptions(t *testing.T) {
-	if opts := (actuary.StreamSpec{}).Options(); len(opts) != 0 {
-		t.Fatalf("zero spec yields %d options", len(opts))
-	}
-	full := actuary.StreamSpec{InFlight: 3, SlabSize: 2, ResumeAt: 4, Ordered: true}
-	if opts := full.Options(); len(opts) != 4 {
-		t.Fatalf("full spec yields %d options, want 4", len(opts))
-	}
-
 	s := newTestSession(t, actuary.WithWorkers(4))
 	grid := testGrid([]float64{300, 500, 800}, []int{1, 2, 3, 4})
-	drain := func(opts ...actuary.StreamOption) []actuary.Result {
+	drain := func(spec actuary.StreamSpec) []actuary.Result {
 		t.Helper()
 		src, err := actuary.SweepSource(grid.Points(), actuary.QuestionTotalCost, actuary.PerSystemUnit)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch, err := s.Stream(context.Background(), src, opts...)
+		ch, err := s.Stream(context.Background(), src, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -497,19 +487,17 @@ func TestStreamSpecOptions(t *testing.T) {
 		}
 		return out
 	}
-	spec := actuary.StreamSpec{InFlight: 2, ResumeAt: 4, Ordered: true}
-	viaSpec := drain(spec.Options()...)
-	explicit := drain(actuary.StreamInFlight(2), actuary.StreamResumeAt(4), actuary.StreamOrdered())
-	if len(viaSpec) != len(explicit) || len(viaSpec) == 0 {
-		t.Fatalf("spec stream has %d results, explicit %d", len(viaSpec), len(explicit))
+	fresh := drain(actuary.StreamSpec{Ordered: true})
+	resumed := drain(actuary.StreamSpec{InFlight: 2, ResumeAt: 4, Ordered: true})
+	if len(resumed) == 0 || len(resumed) != len(fresh)-4 {
+		t.Fatalf("resumed stream has %d results, fresh %d", len(resumed), len(fresh))
 	}
-	for i := range viaSpec {
-		if viaSpec[i].ID != explicit[i].ID || viaSpec[i].Index != explicit[i].Index {
-			t.Errorf("result %d: spec %q@%d, explicit %q@%d", i,
-				viaSpec[i].ID, viaSpec[i].Index, explicit[i].ID, explicit[i].Index)
+	if resumed[0].Index != 4 {
+		t.Errorf("resumed stream starts at index %d, want 4", resumed[0].Index)
+	}
+	for i, r := range resumed {
+		if want := fresh[4+i]; r.ID != want.ID || r.Index != want.Index {
+			t.Errorf("result %d: resumed %q@%d, fresh %q@%d", i, r.ID, r.Index, want.ID, want.Index)
 		}
-	}
-	if viaSpec[0].Index != 4 {
-		t.Errorf("resumed stream starts at index %d, want 4", viaSpec[0].Index)
 	}
 }

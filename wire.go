@@ -981,8 +981,7 @@ func DecodeResults(data []byte) ([]Result, error) {
 // MetricsSnapshot is the GET /v1/metricz payload: the session's
 // back-pressure counters and current worker width as one
 // canonical-JSON document — the programmatic face of the
-// Prometheus text GET /metrics serves, and the preferred probe of
-// fleet.Monitor.
+// Prometheus text GET /metrics serves, and what fleet.Monitor probes.
 type MetricsSnapshot struct {
 	// Session is the back-pressure snapshot (Session.Metrics).
 	Session SessionMetrics

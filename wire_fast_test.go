@@ -66,7 +66,7 @@ func TestAppendResultLineStreamIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ch, err := s.Stream(context.Background(), src, actuary.StreamOrdered())
+			ch, err := s.Stream(context.Background(), src, actuary.StreamSpec{Ordered: true})
 			if err != nil {
 				t.Fatal(err)
 			}
